@@ -1,0 +1,149 @@
+"""Exact dense linear algebra over a finite field context.
+
+Matrices are lists of row lists of field elements (ints).  Every routine
+takes the field as its first argument and only uses add/sub/mul/inv, so
+the same code serves F and any subfield whose elements are closed under
+those operations.
+"""
+
+from __future__ import annotations
+
+
+class SingularMatrixError(ValueError):
+    pass
+
+
+def mat_vec(ctx, mat, vec) -> list:
+    add, mul = ctx.add, ctx.mul
+    out = []
+    for row in mat:
+        acc = 0
+        for a, b in zip(row, vec):
+            if a and b:
+                acc = add(acc, mul(a, b))
+        out.append(acc)
+    return out
+
+
+def mat_mul(ctx, a, b) -> list:
+    add, mul = ctx.add, ctx.mul
+    cols = list(zip(*b))
+    out = []
+    for row in a:
+        orow = []
+        for col in cols:
+            acc = 0
+            for x, y in zip(row, col):
+                if x and y:
+                    acc = add(acc, mul(x, y))
+            orow.append(acc)
+        out.append(orow)
+    return out
+
+
+class LUFactorization:
+    """PA = LU with pivoting on the first nonzero entry per column.
+
+    Solves are exact and performed per right-hand side by forward and
+    back substitution; no inverse matrix is ever formed.
+    """
+
+    def __init__(self, ctx, mat):
+        n = len(mat)
+        a = [list(row) for row in mat]
+        if any(len(row) != n for row in a):
+            raise ValueError("matrix must be square")
+        perm = list(range(n))
+        mul, sub, inv = ctx.mul, ctx.sub, ctx.inv
+        for col in range(n):
+            piv = next((r for r in range(col, n) if a[r][col]), None)
+            if piv is None:
+                raise SingularMatrixError(f"singular at column {col}")
+            if piv != col:
+                a[col], a[piv] = a[piv], a[col]
+                perm[col], perm[piv] = perm[piv], perm[col]
+            inv_p = inv(a[col][col])
+            prow = a[col]
+            for r in range(col + 1, n):
+                row = a[r]
+                if not row[col]:
+                    continue
+                f = mul(row[col], inv_p)
+                row[col] = f
+                for j in range(col + 1, n):
+                    if prow[j]:
+                        row[j] = sub(row[j], mul(f, prow[j]))
+        self._ctx = ctx
+        self._a = a
+        self._perm = perm
+        self.n = n
+
+    def solve(self, rhs) -> list:
+        ctx = self._ctx
+        a = self._a
+        n = self.n
+        if len(rhs) != n:
+            raise ValueError("rhs length mismatch")
+        mul, sub = ctx.mul, ctx.sub
+        # forward: L y = P rhs, unit diagonal
+        y = [rhs[p] for p in self._perm]
+        for i in range(1, n):
+            row = a[i]
+            acc = y[i]
+            for j in range(i):
+                if row[j] and y[j]:
+                    acc = sub(acc, mul(row[j], y[j]))
+            y[i] = acc
+        # back: U x = y
+        x = [0] * n
+        for i in range(n - 1, -1, -1):
+            row = a[i]
+            acc = y[i]
+            for j in range(i + 1, n):
+                if row[j] and x[j]:
+                    acc = sub(acc, mul(row[j], x[j]))
+            x[i] = ctx.div(acc, row[i])
+        return x
+
+
+def solve(ctx, mat, rhs) -> list:
+    return LUFactorization(ctx, mat).solve(rhs)
+
+
+def invert(ctx, mat) -> list:
+    n = len(mat)
+    lu = LUFactorization(ctx, mat)
+    cols = []
+    for j in range(n):
+        e = [0] * n
+        e[j] = 1
+        cols.append(lu.solve(e))
+    return [[cols[j][i] for j in range(n)] for i in range(n)]
+
+
+def rank(ctx, mat) -> int:
+    if not mat:
+        return 0
+    a = [list(row) for row in mat]
+    nrows, ncols = len(a), len(a[0])
+    mul, sub, inv = ctx.mul, ctx.sub, ctx.inv
+    r = 0
+    for col in range(ncols):
+        piv = next((i for i in range(r, nrows) if a[i][col]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        prow = a[r]
+        inv_p = inv(prow[col])
+        for i in range(r + 1, nrows):
+            row = a[i]
+            if not row[col]:
+                continue
+            f = mul(row[col], inv_p)
+            for j in range(col, ncols):
+                if prow[j]:
+                    row[j] = sub(row[j], mul(f, prow[j]))
+        r += 1
+        if r == nrows:
+            break
+    return r
