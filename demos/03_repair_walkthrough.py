@@ -22,15 +22,12 @@ lost = erase_zero(cw)
 print(f"erased position 0, true value {cw.values[0]}")
 print()
 
-# The plan fixes which helpers stay silent.  Its d check vectors are
-# trace polynomials, one per surviving (coset, conjugate) pair.
+# The plan fixes which helpers stay silent.  Each exponent a of the
+# surviving cosets gives one check, sum_e w^(a*e) * trace(f(w^e)/w^e) = 0.
 fc = filter_cosets(enumerate_cosets(ctx.q, ctx.t), k)
 plan = build_plan(ctx, fc, r=0)
-print(f"d = {plan.dim} check vectors, labels {plan.row_labels}")
-for label, poly in zip(plan.row_labels, plan.polys):
-    terms = " + ".join(f"w^{ctx.log(c)}*x^{e}" if c != 1 else f"x^{e}"
-                       for e, c in poly.terms)
-    print(f"  row {label}: trace({terms})")
+checks = [a for coset in fc.selected for a in coset.elements]
+print(f"d = {plan.dim} checks, exponents A = {checks}")
 print(f"silent window: points {plan.omitted}")
 print(f"helpers contacted: {len(plan.helpers)} of {ctx.order - 1}")
 print()
@@ -43,14 +40,14 @@ for e in plan.helper_exps:
     downloaded[a] = ctx.trace(ctx.mul(lost.value_at(e + 1), ctx.inv(a)))
 print(f"downloaded traces: {downloaded}")
 
-# Step 2: the check vectors pin down the silent window's traces.
+# Step 2: the d checks pin down the silent window's traces.
 recovered = recover_missing_traces(plan, downloaded)
-print(f"recovered traces:  {recovered.entries}")
+print(f"recovered window:  {recovered}")
 
-# Step 3: with all n-1 traces in hand, dual-basis recombination
+# Step 3: with all n-1 traces in hand, f(0) = -sum_a a * trace(f(a)/a)
 # produces the erased value exactly.
 full = dict(downloaded)
-full.update(recovered.entries)
+full.update(recovered)
 value = gw_finish(ctx, full, k)
 print(f"rebuilt f(0) = {value}, truth {cw.values[0]}")
 assert value == cw.values[0]

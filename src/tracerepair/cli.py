@@ -14,7 +14,7 @@ import random
 import sys
 
 from .cosets import enumerate_cosets, filter_cosets
-from .field import _is_prime, construct_field
+from .field import construct_field, is_prime
 from .oracle import VERIFICATION_FIELDS, brute_repair_check, equivalence_report
 from .repair import (bandwidth_table, build_plan, gw_max_k, plan_to_dict,
                      repair_pipeline)
@@ -30,7 +30,7 @@ def _fmt_coset(c) -> str:
 
 
 def _cosets_for(args):
-    if not _is_prime(args.p):
+    if not is_prime(args.p):
         raise ValueError(f"p must be prime, got {args.p}")
     return enumerate_cosets(args.p ** args.m, args.t)
 

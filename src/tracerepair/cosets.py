@@ -10,18 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .field import _prime_factors
+
 
 def _is_prime_power(n: int) -> bool:
-    if n < 2:
-        return False
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            return n == 1
-        p += 1
-    return True  # n itself prime
+    return n >= 2 and len(_prime_factors(n)) == 1
 
 
 @dataclass(frozen=True)

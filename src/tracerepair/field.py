@@ -28,18 +28,8 @@ TABLE_LIMIT = 1 << 20
 _ADD_TABLE_LIMIT = 2048
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def _prime_factors(n: int) -> list[int]:
+    """Distinct prime factors of n >= 1 in ascending order, by trial division."""
     out = []
     d = 2
     while d * d <= n:
@@ -51,6 +41,10 @@ def _prime_factors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
+
+
+def is_prime(n: int) -> bool:
+    return n >= 2 and _prime_factors(n) == [n]
 
 
 def _digits(x: int, p: int) -> list[int]:
@@ -129,7 +123,7 @@ class FieldTower:
     """
 
     def __init__(self, p: int, m: int, t: int):
-        if not _is_prime(p):
+        if not is_prime(p):
             raise ValueError(f"p must be prime, got {p}")
         if m < 1 or t < 1:
             raise ValueError("m and t must be positive")

@@ -6,17 +6,26 @@ b_a / a, b_a in B, that annihilates every monomial codeword of degree
 below k.  Expanding each F-linear condition into t B-linear ones gives a
 (k t) x (n - 1) system over B whose nullity must match the coset count.
 Nothing from cosets.py or repair.py is consulted on the way.
+
+The paper's B-valued check vectors live here too, as the reference for
+the repair plan.  Each selected coset with s exponents gives s trace
+polynomials, sum over j of c^(q^j) x^(a q^j), one per shift power c.
+Stacked, their values at the nonzero points form T = V M, where M holds
+the monomial rows omega^(a e) for a in A and V is block-diagonal and
+invertible.  The plan solves with M's window block E alone;
+verify_factorization checks T restricted to the window equals V E.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import dataclass
 
 from . import linalg
-from .cosets import enumerate_cosets, filter_cosets
+from .cosets import FilteredCosets, enumerate_cosets, filter_cosets
 from .field import FieldTower, construct_field
-from .repair import build_plan, repair_pipeline
+from .repair import RepairPlan, build_plan, repair_pipeline
 from .rs import encode, erase_zero
 
 # The field/k matrix exercised by the verify command: (p, m, t).
@@ -79,6 +88,84 @@ def brute_repair_check(ctx: FieldTower, k: int, r: int, trials: int | None = Non
         cw = encode(ctx, msg)
         got, _ = repair_pipeline(ctx, k, r, erase_zero(cw), plan=plan)
         if got != cw.values[0]:
+            return False
+    return True
+
+
+@dataclass(frozen=True)
+class TracePoly:
+    """B-valued polynomial attached to one coset and one shift.
+
+    terms are (exponent, coefficient) pairs; the exponents run over the
+    coset and the coefficients are the matching Frobenius conjugates of
+    the shift power.
+    """
+
+    terms: tuple[tuple[int, int], ...]
+
+    def eval(self, ctx: FieldTower, x: int) -> int:
+        acc = 0
+        add, mul, pw = ctx.add, ctx.mul, ctx.pow
+        for e, c in self.terms:
+            acc = add(acc, mul(c, pw(x, e)))
+        return acc
+
+
+def trace_poly(ctx: FieldTower, fc: FilteredCosets, i: int, shift: int) -> TracePoly:
+    """Check polynomial for selected coset i at the given shift."""
+    coset = fc.selected[i]
+    if not 0 <= shift < coset.size:
+        raise ValueError(f"shift must be in [0, {coset.size - 1}], got {shift}")
+    mod = ctx.order - 1
+    q = ctx.q
+    # The shift base must come from GF(q^s), the subfield a size-s coset
+    # is stable under, or the polynomial leaves B on evaluation; omega to
+    # this stride generates that subfield (for s = t it is omega itself).
+    stride = mod // (q ** coset.size - 1)
+    terms = []
+    qj = 1
+    for e in coset.elements:
+        terms.append((e, ctx.exp(shift * stride * qj % mod)))
+        qj = qj * q % mod
+    return TracePoly(tuple(terms))
+
+
+def check_polys(ctx: FieldTower, fc: FilteredCosets) -> tuple[TracePoly, ...]:
+    """The d stacked check polynomials, coset by coset, shift by shift."""
+    return tuple(trace_poly(ctx, fc, i, shift)
+                 for i, coset in enumerate(fc.selected) for shift in range(coset.size))
+
+
+def trace_matrix(ctx: FieldTower, fc: FilteredCosets) -> list[list[int]]:
+    """T: the check polynomials evaluated at omega^e, column e, e < n - 1."""
+    points = [ctx.exp(e) for e in range(ctx.order - 1)]
+    return [[poly.eval(ctx, x) for x in points] for poly in check_polys(ctx, fc)]
+
+
+def vander_blocks(ctx: FieldTower, fc: FilteredCosets) -> list[list[int]]:
+    """V in T = V M: each row holds its polynomial's coefficients in its coset's block."""
+    d = fc.dim
+    rows = []
+    base = 0
+    for i, coset in enumerate(fc.selected):
+        for shift in range(coset.size):
+            row = [0] * d
+            for j, (_, c) in enumerate(trace_poly(ctx, fc, i, shift).terms):
+                row[base + j] = c
+            rows.append(row)
+        base += coset.size
+    return rows
+
+
+def verify_factorization(plan: RepairPlan) -> bool:
+    """Check T restricted to the plan's window equals V E, entry by entry."""
+    if plan.dim == 0:
+        return True
+    ctx = plan.ctx
+    prod = linalg.mat_mul(ctx, vander_blocks(ctx, plan.cosets), plan.window_powers)
+    window = plan.omitted
+    for poly, prow in zip(check_polys(ctx, plan.cosets), prod):
+        if [poly.eval(ctx, x) for x in window] != prow:
             return False
     return True
 

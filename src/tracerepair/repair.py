@@ -2,18 +2,18 @@
 
 Every helper normally ships one B-symbol, the trace of its value scaled
 by the inverse evaluation point.  The selected cyclotomic cosets give a
-d-dimensional space of base-field-valued check vectors, and a window of
-d consecutive powers of the primitive element can have its traces
-reconstructed from everyone else instead of downloaded.  The remaining
-n - 1 - d traces are finished into the erased value by the
-Guruswami-Wootters recombination over the dual basis.
+set A of exponents, and for each a in A the codeword satisfies the
+check
 
-The reconstruction solves T_I x = -(T_rest f_rest) through the exact
-factorization T_I = V E, with V block-diagonal per coset (Vandermonde in
-the Frobenius conjugates of the coset's shift base) and E a row-scaled
-Vandermonde in the coset exponents.  Both factors are LU-factored once
-per plan; repairs then cost two substitutions per erasure and no inverse
-is ever materialised.
+    sum over e of omega^(a e) * tau_e = 0,   tau_e = trace(f(omega^e) / omega^e).
+
+A window of d = |A| consecutive powers of the primitive element can
+therefore have its traces reconstructed from everyone else instead of
+downloaded: the window block E = (omega^(a (r + c))) is a Vandermonde
+matrix in the distinct nodes omega^a, so it is LU-factored once per
+plan and each repair costs one forward and one back substitution.  The
+remaining n - 1 - d traces are finished into the erased value by the
+Guruswami-Wootters recombination f(0) = -sum over a of a * tau_a.
 """
 
 from __future__ import annotations
@@ -23,53 +23,7 @@ from dataclasses import dataclass, field as dc_field
 from . import linalg
 from .cosets import FilteredCosets, enumerate_cosets, filter_cosets
 from .field import FieldTower, construct_field
-from .rs import Codeword, erase_zero, position_point
-
-
-@dataclass(frozen=True)
-class TracePoly:
-    """B-valued polynomial attached to one coset and one shift.
-
-    terms are (exponent, coefficient) pairs; the exponents run over the
-    coset and the coefficients are the matching Frobenius conjugates of
-    the shift power.
-    """
-
-    terms: tuple[tuple[int, int], ...]
-
-    def eval(self, ctx: FieldTower, x: int) -> int:
-        acc = 0
-        add, mul, pw = ctx.add, ctx.mul, ctx.pow
-        for e, c in self.terms:
-            acc = add(acc, mul(c, pw(x, e)))
-        return acc
-
-
-def _shift_stride(ctx: FieldTower, coset_size: int) -> int:
-    """Discrete log of the shift base for a coset of this size.
-
-    Coefficients must come from GF(q^s), the subfield a size-s coset is
-    stable under, or the polynomial leaves B on evaluation; omega to
-    this stride generates that subfield.  For s = t the stride is 1 and
-    the base is the primitive element itself.
-    """
-    return (ctx.order - 1) // (ctx.q ** coset_size - 1)
-
-
-def trace_poly(ctx: FieldTower, fc: FilteredCosets, i: int, shift: int) -> TracePoly:
-    """Basis polynomial for selected coset i at the given shift."""
-    coset = fc.selected[i]
-    if not 0 <= shift < coset.size:
-        raise ValueError(f"shift must be in [0, {coset.size - 1}], got {shift}")
-    mod = ctx.order - 1
-    q = ctx.q
-    stride = _shift_stride(ctx, coset.size)
-    terms = []
-    qj = 1
-    for e in coset.elements:
-        terms.append((e, ctx.exp(shift * stride * qj % mod)))
-        qj = qj * q % mod
-    return TracePoly(tuple(terms))
+from .rs import Codeword, position_point
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,14 +35,9 @@ class RepairPlan:
     k: int
     r: int
     dim: int
-    row_labels: tuple[tuple[int, int], ...]     # (selected coset index, shift)
-    polys: tuple[TracePoly, ...]
-    trace_matrix: tuple[tuple[int, ...], ...]   # dim rows, column e = value at omega^e
     omitted_exps: tuple[int, ...]               # window order, may wrap
     helper_exps: tuple[int, ...]                # ascending
-    vander_blocks: tuple[tuple[int, ...], ...]  # block-diagonal factor V
-    window_powers: tuple[tuple[int, ...], ...]  # coset-point power factor E
-    _v_lu: object = dc_field(repr=False, default=None)
+    window_powers: tuple[tuple[int, ...], ...]  # E: rows omega^(a (r + c)), a in A
     _e_lu: object = dc_field(repr=False, default=None)
 
     @property
@@ -98,17 +47,6 @@ class RepairPlan:
     @property
     def helpers(self) -> tuple[int, ...]:
         return tuple(self.ctx.exp(e) for e in self.helper_exps)
-
-    def verify_factorization(self) -> bool:
-        """Check T restricted to the window equals V E, entry by entry."""
-        if self.dim == 0:
-            return True
-        prod = linalg.mat_mul(self.ctx, self.vander_blocks, self.window_powers)
-        for row, prow in zip(self.trace_matrix, prod):
-            for c, e in enumerate(self.omitted_exps):
-                if row[e] != prow[c]:
-                    return False
-        return True
 
 
 def gw_max_k(ctx: FieldTower) -> int:
@@ -129,108 +67,71 @@ def build_plan(ctx: FieldTower, fc: FilteredCosets, r: int) -> RepairPlan:
     d = fc.dim
     mod = n - 1
 
-    row_labels = []
-    polys = []
-    for ci, coset in enumerate(fc.selected):
-        for shift in range(coset.size):
-            row_labels.append((ci, shift))
-            polys.append(trace_poly(ctx, fc, ci, shift))
-    trace_matrix = tuple(
-        tuple(poly.eval(ctx, ctx.exp(e)) for e in range(mod)) for poly in polys
-    )
-
     omitted_exps = tuple((r + c) % mod for c in range(d))
     window = set(omitted_exps)
     helper_exps = tuple(e for e in range(mod) if e not in window)
 
     if d == 0:
-        return RepairPlan(ctx, fc, k, r, 0, tuple(row_labels), tuple(polys),
-                          trace_matrix, omitted_exps, helper_exps, (), ())
+        return RepairPlan(ctx, fc, k, r, 0, omitted_exps, helper_exps, ())
 
-    # V: one block per coset; block column j holds the powers of the
-    # j-th Frobenius conjugate of the coset's shift base.
-    vander = [[0] * d for _ in range(d)]
-    base = 0
-    q = ctx.q
-    for coset in fc.selected:
-        s = coset.size
-        stride = _shift_stride(ctx, s)
-        for shift in range(s):
-            qj = 1
-            for j in range(s):
-                vander[base + shift][base + j] = ctx.exp(shift * stride * qj % mod)
-                qj = qj * q % mod
-        base += s
-    vander = tuple(tuple(row) for row in vander)
-
-    # E: row per (coset, conjugate) with entries (omega^a)^(r+c).
-    window_rows = []
-    for coset in fc.selected:
-        for a in coset.elements:
-            window_rows.append(tuple(ctx.exp(a * (r + c) % mod) for c in range(d)))
-    window_rows = tuple(window_rows)
-
-    v_lu = linalg.LUFactorization(ctx, vander)
-    e_lu = linalg.LUFactorization(ctx, window_rows)
-    return RepairPlan(ctx, fc, k, r, d, tuple(row_labels), tuple(polys),
-                      trace_matrix, omitted_exps, helper_exps,
-                      vander, window_rows, v_lu, e_lu)
+    window_rows = tuple(
+        tuple(ctx.exp(a * (r + c) % mod) for c in range(d))
+        for coset in fc.selected for a in coset.elements
+    )
+    return RepairPlan(ctx, fc, k, r, d, omitted_exps, helper_exps, window_rows,
+                      linalg.LUFactorization(ctx, window_rows))
 
 
-@dataclass(eq=False)
-class TraceVector:
-    """The n - 1 base-field values trace(f(a)/a), keyed by the point a."""
+def recover_missing_traces(plan: RepairPlan, downloaded) -> dict:
+    """Reconstruct the window traces from the downloaded ones.
 
-    entries: dict
-    provenance: dict  # point -> "downloaded" | "recovered"
-
-
-def recover_missing_traces(plan: RepairPlan, downloaded) -> TraceVector:
-    """Reconstruct the window traces from the downloaded ones."""
+    Returns {point: trace} for the d window points.
+    """
     ctx = plan.ctx
-    if isinstance(downloaded, TraceVector):
-        downloaded = downloaded.entries
     helpers = plan.helpers
     if set(downloaded) != set(helpers):
         raise ValueError("downloaded traces must cover exactly the helper set")
     if plan.dim == 0:
-        return TraceVector({}, {})
-    add, mul, neg = ctx.add, ctx.mul, ctx.neg
+        return {}
+    add, exp, log = ctx.add, ctx.exp, ctx.log
+    # omega^(a e) * tau_e is one antilog lookup once log tau_e is known.
+    logs = []
+    for e, a in zip(plan.helper_exps, helpers):
+        v = downloaded[a]
+        if v:
+            logs.append((e, log(v)))
     rhs = []
-    for row in plan.trace_matrix:
-        acc = 0
-        for e, a in zip(plan.helper_exps, helpers):
-            c = row[e]
-            v = downloaded[a]
-            if c and v:
-                acc = add(acc, mul(c, v))
-        rhs.append(neg(acc))
-    y = plan._v_lu.solve(rhs)
-    window = plan._e_lu.solve(y)
+    for coset in plan.cosets.selected:
+        for a in coset.elements:
+            acc = 0
+            for e, lv in logs:
+                acc = add(acc, exp(a * e + lv))
+            rhs.append(ctx.neg(acc))
+    window = plan._e_lu.solve(rhs)
     entries = {}
     for a, v in zip(plan.omitted, window):
         if not ctx.in_base_field(v):
             raise AssertionError("recovered trace left the base field")
         entries[a] = v
-    return TraceVector(entries, {a: "recovered" for a in entries})
+    return entries
 
 
 def gw_finish(ctx: FieldTower, traces, k: int) -> int:
-    """Recombine a full trace vector into the erased value f(0)."""
+    """Recombine a full trace vector {point: trace} into the erased value f(0).
+
+    Expanding f(0) over the dual basis and exchanging the sums gives
+    f(0) = -sum over a of a * trace(f(a) / a).
+    """
     if k > gw_max_k(ctx):
         raise ValueError(f"k must be at most {gw_max_k(ctx)} for trace repair, got {k}")
-    entries = traces.entries if isinstance(traces, TraceVector) else dict(traces)
+    entries = dict(traces)
     if len(entries) != ctx.order - 1 or 0 in entries:
         raise ValueError("need traces for every nonzero point")
-    add, mul, neg, trace = ctx.add, ctx.mul, ctx.neg, ctx.trace
-    f0 = 0
-    for u, v in zip(ctx.power_basis, ctx.dual_basis):
-        acc = 0
-        for a, fa in entries.items():
-            if fa:
-                acc = add(acc, mul(trace(mul(u, a)), fa))
-        f0 = add(f0, mul(neg(acc), v))
-    return f0
+    add, mul = ctx.add, ctx.mul
+    acc = 0
+    for a, fa in entries.items():
+        acc = add(acc, mul(a, fa))
+    return ctx.neg(acc)
 
 
 @dataclass(frozen=True)
@@ -265,13 +166,9 @@ def repair_pipeline(ctx: FieldTower, k: int, r: int, cw: Codeword,
     for e in plan.helper_exps:
         a = ctx.exp(e)
         entries[a] = trace(mul(cw.value_at(e + 1), inv(a)))
-    provenance = {a: "downloaded" for a in entries}
 
-    recovered = recover_missing_traces(plan, entries)
-    entries.update(recovered.entries)
-    provenance.update(recovered.provenance)
-
-    f0 = gw_finish(ctx, TraceVector(entries, provenance), k)
+    entries.update(recover_missing_traces(plan, entries))
+    f0 = gw_finish(ctx, entries, k)
     nsym = len(plan.helper_exps)
     report = BandwidthReport(nsym, nsym, nsym * ctx.bits_per_symbol)
     return f0, report
@@ -338,7 +235,18 @@ def plan_to_dict(plan: RepairPlan) -> dict:
 
 
 def plan_from_dict(doc: dict) -> RepairPlan:
-    """Rebuild a plan from its summary and cross-check the stored fields."""
+    """Rebuild a plan from its summary and cross-check the stored fields.
+
+    A malformed document raises ValueError naming the offending field.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError("plan document must be a JSON object")
+    for key in ("p", "m", "t", "k", "r", "d", "omitted", "helpers", "cosets"):
+        if key not in doc:
+            raise ValueError(f"plan document missing {key!r}")
+    for key in ("p", "m", "t", "k", "r"):
+        if type(doc[key]) is not int:
+            raise ValueError(f"plan document field {key!r} must be an integer")
     ctx = construct_field(doc["p"], doc["m"], doc["t"])
     cc = enumerate_cosets(ctx.q, ctx.t)
     plan = build_plan(ctx, filter_cosets(cc, doc["k"]), doc["r"])

@@ -18,9 +18,10 @@ import time
 from tracerepair.cosets import enumerate_cosets, filter_cosets, repair_space_dim
 from tracerepair.field import construct_field
 from tracerepair.oracle import (VERIFICATION_FIELDS, brute_dim,
-                                brute_repair_check, rank_over_base)
+                                brute_repair_check, rank_over_base,
+                                trace_matrix, trace_poly, verify_factorization)
 from tracerepair.repair import (bandwidth_table, build_plan, gw_max_k,
-                                repair_pipeline, trace_poly)
+                                repair_pipeline)
 from tracerepair.rs import encode, erase_zero
 
 
@@ -101,7 +102,7 @@ def test_criterion_5_factorization_all_windows(gf9, gf16_over_gf4) -> None:
             fc = filter_cosets(cc, k)
             for r in range(ctx.order - 1):
                 checked += 1
-                if not build_plan(ctx, fc, r).verify_factorization():
+                if not verify_factorization(build_plan(ctx, fc, r)):
                     bad.append((ctx.q, ctx.t, k, r))
     elapsed = time.perf_counter() - t0
     ok = not bad and elapsed < 10
@@ -202,12 +203,12 @@ def test_criterion_9_property_suites(gf9, gf64_over_gf8) -> None:
 
     # (b) over a thousand check-vector/codeword inner products, all zero
     ctx = gf64_over_gf8
-    plan = build_plan(ctx, filter_cosets(enumerate_cosets(8, 2), 10), 0)
+    rows = trace_matrix(ctx, filter_cosets(enumerate_cosets(8, 2), 10))
     rng = random.Random(99)
     products = 0
     for _ in range(25):
         cw = encode(ctx, tuple(rng.randrange(64) for _ in range(10)))
-        for row in plan.trace_matrix:
+        for row in rows:
             acc = 0
             for e in range(63):
                 a = ctx.exp(e)
@@ -222,9 +223,8 @@ def test_criterion_9_property_suites(gf9, gf64_over_gf8) -> None:
     for ctx2, ks in ((gf9, range(1, 7)), (gf64_over_gf8, (1, 10, 30))):
         cc2 = enumerate_cosets(ctx2.q, ctx2.t)
         for k in ks:
-            plan2 = build_plan(ctx2, filter_cosets(cc2, k), 0)
-            if plan2.dim and rank_over_base(
-                    ctx2, [list(r) for r in plan2.trace_matrix]) != plan2.dim:
+            fc2 = filter_cosets(cc2, k)
+            if fc2.dim and rank_over_base(ctx2, trace_matrix(ctx2, fc2)) != fc2.dim:
                 problems.append(("rank", ctx2.q, k))
 
     # (d) recovered value does not depend on the window position

@@ -8,11 +8,12 @@ import pytest
 
 from tracerepair import linalg
 from tracerepair.cosets import enumerate_cosets, filter_cosets
-from tracerepair.oracle import rank_over_base
-from tracerepair.repair import (TraceVector, bandwidth_table, build_plan,
-                                gw_finish, gw_max_k, plan_from_dict,
-                                plan_to_dict, recover_missing_traces,
-                                repair_at, repair_pipeline, trace_poly)
+from tracerepair.oracle import (rank_over_base, trace_matrix, trace_poly,
+                                vander_blocks, verify_factorization)
+from tracerepair.repair import (bandwidth_table, build_plan, gw_finish,
+                                gw_max_k, plan_from_dict, plan_to_dict,
+                                recover_missing_traces, repair_at,
+                                repair_pipeline)
 from tracerepair.rs import encode, erase, erase_zero
 
 
@@ -28,7 +29,7 @@ def _direct_traces(ctx, cw):
     return out
 
 
-# -- trace polynomials ----------------------------------------------
+# -- trace polynomials (the oracle's check vectors) -----------------
 
 def test_gf9_trace_poly_golden(gf9) -> None:
     fc = filter_cosets(enumerate_cosets(3, 2), 3)
@@ -96,17 +97,18 @@ def test_per_coset_rows_independent(gf9, gf64_over_gf8) -> None:
 
 
 def test_stacked_rows_have_rank_d(gf9) -> None:
+    cc = enumerate_cosets(3, 2)
     for k in range(1, 7):
-        plan = _plan(gf9, k, 0)
-        if plan.dim:
-            assert rank_over_base(gf9, [list(r) for r in plan.trace_matrix]) == plan.dim
+        fc = filter_cosets(cc, k)
+        if fc.dim:
+            assert rank_over_base(gf9, trace_matrix(gf9, fc)) == fc.dim
 
 
 def test_rows_annihilate_codewords_exhaustive(gf9) -> None:
-    plan = _plan(gf9, 3, 0)
+    rows = trace_matrix(gf9, filter_cosets(enumerate_cosets(3, 2), 3))
     for coeffs in itertools.product(range(9), repeat=3):
         cw = encode(gf9, coeffs)
-        for row in plan.trace_matrix:
+        for row in rows:
             acc = 0
             for e in range(8):
                 a = gf9.exp(e)
@@ -118,12 +120,12 @@ def test_rows_annihilate_codewords_exhaustive(gf9) -> None:
 
 def test_rows_annihilate_codewords_random(gf64_over_gf8) -> None:
     ctx = gf64_over_gf8
-    plan = _plan(ctx, 10, 5)
+    rows = trace_matrix(ctx, filter_cosets(enumerate_cosets(8, 2), 10))
     rng = random.Random(17)
     for _ in range(30):
         coeffs = tuple(rng.randrange(64) for _ in range(10))
         cw = encode(ctx, coeffs)
-        for row in plan.trace_matrix:
+        for row in rows:
             acc = 0
             for e in range(63):
                 a = ctx.exp(e)
@@ -139,17 +141,11 @@ def test_plan_shape_gf9_k3(gf9) -> None:
     assert plan.omitted_exps == (0, 1, 2)
     assert plan.omitted == (1, gf9.exp(1), gf9.exp(2))
     assert len(plan.helper_exps) == 5
-    assert plan.row_labels == ((0, 0), (0, 1), (1, 0))
 
 
 def test_plan_factor_matrices_gf9_k3(gf9) -> None:
     w = gf9.exp
     plan = _plan(gf9, 3, 0)
-    assert plan.vander_blocks == (
-        (1, 1, 0),
-        (w(1), w(3), 0),
-        (0, 0, 1),
-    )
     assert plan.window_powers == (
         (1, w(2), w(4)),
         (1, w(6), w(12)),
@@ -160,14 +156,14 @@ def test_plan_factor_matrices_gf9_k3(gf9) -> None:
 def test_window_wraps_around(gf9) -> None:
     plan = _plan(gf9, 3, 7)
     assert plan.omitted_exps == (7, 0, 1)
-    assert plan.verify_factorization()
+    assert verify_factorization(plan)
 
 
 def test_factorization_identity_sampled(gf9, gf16_over_gf4) -> None:
     for ctx, kmax in ((gf9, 6), (gf16_over_gf4, 12)):
         for k in (1, kmax // 2, kmax):
             for r in (0, ctx.order - 2):
-                assert _plan(ctx, k, r).verify_factorization()
+                assert verify_factorization(_plan(ctx, k, r))
 
 
 def test_factor_matrices_invertible(gf9, gf64_over_gf8) -> None:
@@ -175,7 +171,7 @@ def test_factor_matrices_invertible(gf9, gf64_over_gf8) -> None:
         for k in ks:
             plan = _plan(ctx, k, 2)
             if plan.dim:
-                assert linalg.rank(ctx, [list(r) for r in plan.vander_blocks]) == plan.dim
+                assert linalg.rank(ctx, vander_blocks(ctx, plan.cosets)) == plan.dim
                 assert linalg.rank(ctx, [list(r) for r in plan.window_powers]) == plan.dim
 
 
@@ -184,7 +180,7 @@ def test_degenerate_plan_no_window(gf4) -> None:
     assert plan.dim == 0
     assert plan.omitted == ()
     assert len(plan.helper_exps) == 3
-    assert plan.verify_factorization()
+    assert verify_factorization(plan)
 
 
 def test_build_plan_validates(gf9) -> None:
@@ -212,10 +208,7 @@ def test_recover_matches_direct_traces_exhaustive(gf9) -> None:
         truth = _direct_traces(gf9, cw)
         downloaded = {a: truth[a] for a in plan.helpers}
         got = recover_missing_traces(plan, downloaded)
-        assert set(got.entries) == set(plan.omitted)
-        for a, v in got.entries.items():
-            assert v == truth[a]
-        assert all(tag == "recovered" for tag in got.provenance.values())
+        assert got == {a: truth[a] for a in plan.omitted}
 
 
 def test_recover_matches_direct_traces_random(gf64_over_gf8) -> None:
@@ -227,7 +220,7 @@ def test_recover_matches_direct_traces_random(gf64_over_gf8) -> None:
             cw = encode(ctx, tuple(rng.randrange(64) for _ in range(k)))
             truth = _direct_traces(ctx, cw)
             got = recover_missing_traces(plan, {a: truth[a] for a in plan.helpers})
-            assert got.entries == {a: truth[a] for a in plan.omitted}
+            assert got == {a: truth[a] for a in plan.omitted}
 
 
 def test_recover_requires_exact_helper_cover(gf9) -> None:
@@ -240,6 +233,31 @@ def test_recover_requires_exact_helper_cover(gf9) -> None:
     extra = dict(truth)  # covers the window too
     with pytest.raises(ValueError):
         recover_missing_traces(plan, extra)
+
+
+def test_one_factorization_per_plan_one_solve_per_repair(gf64_over_gf8,
+                                                          monkeypatch) -> None:
+    ctx = gf64_over_gf8
+    calls = []
+    real_init = linalg.LUFactorization.__init__
+    real_solve = linalg.LUFactorization.solve
+
+    def init(self, *args):
+        calls.append("factor")
+        real_init(self, *args)
+
+    def solve(self, rhs):
+        calls.append("solve")
+        return real_solve(self, rhs)
+
+    monkeypatch.setattr(linalg.LUFactorization, "__init__", init)
+    monkeypatch.setattr(linalg.LUFactorization, "solve", solve)
+    plan = _plan(ctx, 10, 5)
+    assert calls == ["factor"]
+    cw = encode(ctx, tuple(range(10)))
+    got, _ = repair_pipeline(ctx, 10, 5, erase_zero(cw), plan=plan)
+    assert got == cw.values[0]
+    assert calls == ["factor", "solve"]
 
 
 # -- finishing ------------------------------------------------------
@@ -376,6 +394,15 @@ def test_plan_document_roundtrip(gf9) -> None:
 
 def test_plan_document_tamper_detected(gf9) -> None:
     doc = plan_to_dict(_plan(gf9, 3, 5))
-    doc["d"] = 4
-    with pytest.raises(ValueError):
-        plan_from_dict(doc)
+    without_k = {key: v for key, v in doc.items() if key != "k"}
+    cases = [
+        ({**doc, "d": 4}, "'d'"),
+        ({}, "'p'"),
+        (without_k, "'k'"),
+        ({**doc, "k": "3"}, "'k'"),
+        ({**doc, "r": True}, "'r'"),
+        ([], "JSON object"),
+    ]
+    for bad, field in cases:
+        with pytest.raises(ValueError, match=field):
+            plan_from_dict(bad)
