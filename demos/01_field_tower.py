@@ -26,11 +26,15 @@ print(f"{a}^-1  = {ctx.inv(a)}, check: {ctx.mul(a, ctx.inv(a))}")
 print()
 
 # Every nonzero element is a power of w, so multiplication is just
-# addition of logs.  The tables make that explicit.
-print("e  w^e   log(w^e)")
+# addition of logs.  Addition goes through logs too: with
+# zech(e) = log(1 + w^e), x + y = x * (1 + y/x) is
+# w^(log x + zech(log y - log x)).  zech(e) is "-" where 1 + w^e = 0.
+print("e  w^e   log(w^e)  zech(e)")
 for e in range(ctx.order - 1):
     x = ctx.exp(e)
-    print(f"{e}   {x:3d}   {ctx.log(x)}")
+    one_plus_x = ctx.add(1, x)
+    zech = "-" if one_plus_x == 0 else ctx.log(one_plus_x)
+    print(f"{e}   {x:3d}   {ctx.log(x)}         {zech}")
 print()
 
 # The trace maps F onto B by summing Frobenius conjugates:

@@ -10,7 +10,7 @@ of helper nodes the repair scheme may ignore.
 """
 
 from tracerepair import (brute_dim, construct_field, enumerate_cosets,
-                         filter_cosets, repair_space_dim)
+                         filter_cosets)
 
 q, t = 3, 2
 cc = enumerate_cosets(q, t)
@@ -34,7 +34,7 @@ print()
 ctx = construct_field(3, 1, 2)
 print("k   formula   brute force")
 for k in range(1, ctx.order):
-    d = repair_space_dim(cc, k)
+    d = filter_cosets(cc, k).dim
     bd = brute_dim(ctx, k)
     assert d == bd
     print(f"{k}   {d}         {bd}")
@@ -45,7 +45,7 @@ print()
 n = ctx.order
 print("k   download n-1-d   bound k*t")
 for k in range(1, n - n // ctx.q + 1):
-    d = repair_space_dim(cc, k)
+    d = filter_cosets(cc, k).dim
     print(f"{k}   {n - 1 - d}                {k * t}")
 
 # A bigger tower to show the same shape at scale: GF(64) over GF(8).
@@ -53,4 +53,4 @@ cc64 = enumerate_cosets(8, 2)
 print()
 print("GF(64)/GF(8):")
 for k in (1, 10, 30, 56):
-    print(f"  k={k:2d}: d={repair_space_dim(cc64, k)}")
+    print(f"  k={k:2d}: d={filter_cosets(cc64, k).dim}")

@@ -9,7 +9,7 @@ ships nothing at all, and linear algebra over the tower fills the gap.
 """
 
 from tracerepair import (build_plan, classical_repair, encode,
-                         enumerate_cosets, erase_zero, filter_cosets,
+                         enumerate_cosets, erase, filter_cosets,
                          construct_field, gw_finish, gw_max_k,
                          recover_missing_traces, repair_pipeline)
 
@@ -18,7 +18,7 @@ k = 3
 
 cw = encode(ctx, (5, 2, 7))
 print(f"message (5, 2, 7)  ->  codeword {cw.values}")
-lost = erase_zero(cw)
+lost = erase(cw, 0)
 print(f"erased position 0, true value {cw.values[0]}")
 print()
 

@@ -10,7 +10,7 @@ dries up.
 """
 
 from tracerepair import (bandwidth_table, construct_field, enumerate_cosets,
-                         gw_max_k, repair_space_dim)
+                         filter_cosets, gw_max_k)
 
 
 def sweep(p, m, t):
@@ -22,7 +22,7 @@ def sweep(p, m, t):
           f"k up to {kmax}, {bits} bits per GF({ctx.q}) symbol")
     print("   k  classical  full-trace  windowed   saved")
     for row in bandwidth_table(ctx, kmax):
-        d = repair_space_dim(cc, row.k)
+        d = filter_cosets(cc, row.k).dim
         note = "" if d else "   (no window left)"
         print(f"  {row.k:2d}  {row.classical:9d}  {row.gw:10d}  "
               f"{row.ours:8d}  {row.gw - row.ours:6d}{note}")

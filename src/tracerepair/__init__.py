@@ -8,7 +8,7 @@ exact.
 """
 
 from .cosets import (Coset, CosetCollection, FilteredCosets, enumerate_cosets,
-                     filter_cosets, repair_space_dim)
+                     filter_cosets)
 from .field import FieldTower, construct_field
 from .oracle import (VERIFICATION_FIELDS, brute_dim, brute_repair_check,
                      rank_over_base)
@@ -16,8 +16,7 @@ from .repair import (BandwidthReport, BandwidthRow, RepairPlan, bandwidth_table,
                      build_plan, gw_finish, gw_max_k, plan_from_dict,
                      plan_to_dict, recover_missing_traces, repair_at,
                      repair_pipeline)
-from .rs import (Codeword, classical_repair, encode, erase, erase_zero,
-                 position_point)
+from .rs import Codeword, classical_repair, encode, erase, position_point
 
 __version__ = "0.1.0"
 
@@ -26,8 +25,8 @@ __all__ = [
     "FieldTower", "FilteredCosets", "RepairPlan", "VERIFICATION_FIELDS",
     "bandwidth_table", "brute_dim", "brute_repair_check", "build_plan",
     "classical_repair", "construct_field", "encode", "enumerate_cosets",
-    "erase", "erase_zero", "filter_cosets", "gw_finish", "gw_max_k",
+    "erase", "filter_cosets", "gw_finish", "gw_max_k",
     "plan_from_dict", "plan_to_dict", "rank_over_base",
     "recover_missing_traces", "repair_at", "repair_pipeline",
-    "repair_space_dim", "position_point",
+    "position_point",
 ]

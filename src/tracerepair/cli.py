@@ -14,11 +14,11 @@ import random
 import sys
 
 from .cosets import enumerate_cosets, filter_cosets
-from .field import construct_field, is_prime
+from .field import check_table_limit, construct_field, is_prime
 from .oracle import VERIFICATION_FIELDS, brute_repair_check, equivalence_report
 from .repair import (bandwidth_table, build_plan, gw_max_k, plan_to_dict,
                      repair_pipeline)
-from .rs import encode, erase_zero
+from .rs import encode, erase
 
 
 def fmt_elem(ctx, x: int) -> str:
@@ -30,6 +30,9 @@ def _fmt_coset(c) -> str:
 
 
 def _cosets_for(args):
+    if args.m < 1 or args.t < 1:
+        raise ValueError("m and t must be positive")
+    check_table_limit(args.p, args.m * args.t)
     if not is_prime(args.p):
         raise ValueError(f"p must be prime, got {args.p}")
     return enumerate_cosets(args.p ** args.m, args.t)
@@ -76,7 +79,7 @@ def cmd_repair(args, out) -> int:
     rng = random.Random(args.seed)
     coeffs = tuple(rng.randrange(ctx.order) for _ in range(args.k))
     cw = encode(ctx, coeffs)
-    got, report = repair_pipeline(ctx, args.k, args.r, erase_zero(cw))
+    got, report = repair_pipeline(ctx, args.k, args.r, erase(cw, 0))
     match = got == cw.values[0]
     if args.format == "json":
         doc = {

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .field import _prime_factors
+from .field import _prime_factors, check_table_limit
 
 
 def _is_prime_power(n: int) -> bool:
@@ -64,6 +64,7 @@ def enumerate_cosets(q: int, t: int) -> CosetCollection:
     """
     if t < 1:
         raise ValueError("t must be positive")
+    check_table_limit(q, t)
     if not _is_prime_power(q):
         raise ValueError(f"q must be a prime power, got {q}")
     mod = q ** t - 1
@@ -106,7 +107,3 @@ def filter_cosets(cc: CosetCollection, k: int) -> FilteredCosets:
     dim = sum(c.size for c in selected)
     return FilteredCosets(cc, k, tuple(selected), tuple(removed), dim)
 
-
-def repair_space_dim(cc: CosetCollection, k: int) -> int:
-    """Number of helper symbols the repair scheme can omit at length k."""
-    return filter_cosets(cc, k).dim

@@ -8,13 +8,21 @@ fixed by the Frobenius map x -> x^q with q = p^m, so B-arithmetic is
 ordinary F-arithmetic on B-valued integers and no embedding bookkeeping
 exists anywhere.
 
-Multiplication, inversion and powering run on discrete-log tables over a
-fixed primitive element; addition is digit-wise modulo p (XOR when
-p = 2).  Construction is deterministic: the modulus is the monic
-irreducible polynomial of degree m*t with the smallest integer encoding,
-and the primitive element is the smallest integer of multiplicative
-order p^(m*t) - 1.  Two towers built from the same (p, m, t) therefore
-agree element by element.
+Multiplication, inversion and powering run on discrete-log tables over
+a fixed primitive element w; the antilog table is stored twice over, so
+a sum of two logs indexes it without reduction.  Addition is digit-wise
+modulo p on the encoding.  For p = 2 that is XOR.  For odd p it is
+computed as x + y = x * (1 + y/x) with Zech logarithms,
+zech[i] = log(1 + w^i) (-1 where 1 + w^i = 0), built in one pass over
+the antilog table because adding 1 changes only the lowest base-p digit;
+negation multiplies by -1 = w^((p^(m*t) - 1)/2).  The integer encoding
+is the same for every p, so results match digit-wise arithmetic exactly.
+
+Construction is deterministic: the modulus is the monic irreducible
+polynomial of degree m*t with the smallest integer encoding, and the
+primitive element is the smallest integer of multiplicative order
+p^(m*t) - 1.  Two towers built from the same (p, m, t) therefore agree
+element by element.
 """
 
 from __future__ import annotations
@@ -23,9 +31,6 @@ from . import linalg
 
 # Hard cap on table size; q^t above this is refused at construction.
 TABLE_LIMIT = 1 << 20
-
-# Small fields get dense addition/negation tables instead of digit loops.
-_ADD_TABLE_LIMIT = 2048
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -45,6 +50,13 @@ def _prime_factors(n: int) -> list[int]:
 
 def is_prime(n: int) -> bool:
     return n >= 2 and _prime_factors(n) == [n]
+
+
+def check_table_limit(base: int, exponent: int) -> None:
+    """Refuse base^exponent > TABLE_LIMIT without computing a huge power."""
+    if base >= 2 and (exponent > TABLE_LIMIT.bit_length()
+                      or base ** exponent > TABLE_LIMIT):
+        raise ValueError(f"order {base}^{exponent} exceeds table limit {TABLE_LIMIT}")
 
 
 def _digits(x: int, p: int) -> list[int]:
@@ -123,14 +135,13 @@ class FieldTower:
     """
 
     def __init__(self, p: int, m: int, t: int):
-        if not is_prime(p):
-            raise ValueError(f"p must be prime, got {p}")
         if m < 1 or t < 1:
             raise ValueError("m and t must be positive")
         degree = m * t
+        check_table_limit(p, degree)  # before the trial division in is_prime
+        if not is_prime(p):
+            raise ValueError(f"p must be prime, got {p}")
         order = p ** degree
-        if order > TABLE_LIMIT:
-            raise ValueError(f"field of order {order} exceeds table limit {TABLE_LIMIT}")
         self.p = p
         self.m = m
         self.t = t
@@ -187,44 +198,13 @@ class FieldTower:
             acc = self._raw_mul(acc, self.primitive_element)
         if acc != 1:
             raise AssertionError("primitive element order mismatch")
-        self._antilog = antilog
         self._log = log
-
+        self._antilog = antilog + antilog
         p = self.p
-        if p == 2:
-            self._add_table = None
-            self._neg_table = None
-        elif order <= _ADD_TABLE_LIMIT:
-            self._add_table = [
-                [self._add_digits(x, y) for y in range(order)] for x in range(order)
-            ]
-            self._neg_table = [self._neg_digits(x) for x in range(order)]
-        else:
-            self._add_table = None
-            self._neg_table = [self._neg_digits(x) for x in range(order)]
-
-    def _add_digits(self, x: int, y: int) -> int:
-        p = self.p
-        z = 0
-        mult = 1
-        while x or y:
-            z += (x % p + y % p) % p * mult
-            x //= p
-            y //= p
-            mult *= p
-        return z
-
-    def _neg_digits(self, x: int) -> int:
-        p = self.p
-        z = 0
-        mult = 1
-        while x:
-            c = x % p
-            if c:
-                z += (p - c) * mult
-            x //= p
-            mult *= p
-        return z
+        if p != 2:
+            # log[0] == -1 marks 1 + w^i == 0
+            self._zech = [log[v - v % p + (v + 1) % p] for v in antilog]
+            self._log_minus_one = (order - 1) // 2
 
     def _compute_dual_basis(self) -> tuple[int, ...]:
         # Gram matrix of the power basis under the trace form, inverted
@@ -246,16 +226,19 @@ class FieldTower:
     def add(self, x: int, y: int) -> int:
         if self.p == 2:
             return x ^ y
-        if self._add_table is not None:
-            return self._add_table[x][y]
-        return self._add_digits(x, y)
+        if x == 0:
+            return y
+        if y == 0:
+            return x
+        lx = self._log[x]
+        # a negative index wraps mod order - 1, the length of _zech
+        z = self._zech[self._log[y] - lx]
+        return 0 if z < 0 else self._antilog[lx + z]
 
     def neg(self, x: int) -> int:
-        if self.p == 2:
+        if self.p == 2 or x == 0:
             return x
-        if self._neg_table is not None:
-            return self._neg_table[x]
-        return self._neg_digits(x)
+        return self._antilog[self._log[x] + self._log_minus_one]
 
     def sub(self, x: int, y: int) -> int:
         return self.add(x, self.neg(y))
@@ -263,7 +246,7 @@ class FieldTower:
     def mul(self, x: int, y: int) -> int:
         if x == 0 or y == 0:
             return 0
-        return self._antilog[(self._log[x] + self._log[y]) % (self.order - 1)]
+        return self._antilog[self._log[x] + self._log[y]]
 
     def inv(self, x: int) -> int:
         if x == 0:

@@ -26,7 +26,7 @@ from . import linalg
 from .cosets import FilteredCosets, enumerate_cosets, filter_cosets
 from .field import FieldTower, construct_field
 from .repair import RepairPlan, build_plan, repair_pipeline
-from .rs import encode, erase_zero
+from .rs import encode, erase
 
 # The field/k matrix exercised by the verify command: (p, m, t).
 VERIFICATION_FIELDS = (
@@ -86,7 +86,7 @@ def brute_repair_check(ctx: FieldTower, k: int, r: int, trials: int | None = Non
         messages = (tuple(rng.randrange(n) for _ in range(k)) for _ in range(count))
     for msg in messages:
         cw = encode(ctx, msg)
-        got, _ = repair_pipeline(ctx, k, r, erase_zero(cw), plan=plan)
+        got, _ = repair_pipeline(ctx, k, r, erase(cw, 0), plan=plan)
         if got != cw.values[0]:
             return False
     return True

@@ -67,11 +67,6 @@ def erase(cw: Codeword, j: int) -> Codeword:
     return Codeword(cw.ctx, cw.k, cw.values, cw.erased | {j})
 
 
-def erase_zero(cw: Codeword) -> Codeword:
-    """Mark the value at the field element 0 as lost."""
-    return erase(cw, 0)
-
-
 def classical_repair(cw: Codeword, helper_positions) -> int:
     """Recover the value at 0 by Lagrange interpolation from k full symbols."""
     ctx = cw.ctx

@@ -15,14 +15,14 @@ import itertools
 import random
 import time
 
-from tracerepair.cosets import enumerate_cosets, filter_cosets, repair_space_dim
+from tracerepair.cosets import enumerate_cosets, filter_cosets
 from tracerepair.field import construct_field
 from tracerepair.oracle import (VERIFICATION_FIELDS, brute_dim,
                                 brute_repair_check, rank_over_base,
                                 trace_matrix, trace_poly, verify_factorization)
 from tracerepair.repair import (bandwidth_table, build_plan, gw_max_k,
                                 repair_pipeline)
-from tracerepair.rs import encode, erase_zero
+from tracerepair.rs import encode, erase
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -61,7 +61,7 @@ def test_criterion_2_dimension_golden() -> None:
 
 def test_criterion_3_pipeline_bandwidth_golden(gf9) -> None:
     cw = encode(gf9, (5, 2, 7))
-    gone = erase_zero(cw)
+    gone = erase(cw, 0)
     elapsed, got = _best_of(lambda: repair_pipeline(gf9, 3, 0, gone))
     value, rep = got
     row = bandwidth_table(gf9, 3)[2]
@@ -84,7 +84,7 @@ def test_criterion_4_dimension_oracle_all_fields() -> None:
         cc = enumerate_cosets(ctx.q, ctx.t)
         for k in range(1, ctx.order):
             cells += 1
-            if repair_space_dim(cc, k) != brute_dim(ctx, k):
+            if filter_cosets(cc, k).dim != brute_dim(ctx, k):
                 bad.append((p, m, t, k))
     elapsed = time.perf_counter() - t0
     ok = not bad and elapsed < 30
@@ -121,7 +121,7 @@ def test_criterion_6_end_to_end_repair(gf4, gf9, gf64_over_gf8) -> None:
             plan = build_plan(gf4, filter_cosets(cc, k), r)
             for coeffs in itertools.product(range(4), repeat=k):
                 cw = encode(gf4, coeffs)
-                got, _ = repair_pipeline(gf4, k, r, erase_zero(cw), plan=plan)
+                got, _ = repair_pipeline(gf4, k, r, erase(cw, 0), plan=plan)
                 repairs += 1
                 if got != cw.values[0]:
                     failures.append(("gf4", k, r, coeffs))
@@ -131,7 +131,7 @@ def test_criterion_6_end_to_end_repair(gf4, gf9, gf64_over_gf8) -> None:
         plan = build_plan(gf9, filter_cosets(cc9, k), 0)
         for coeffs in itertools.product(range(9), repeat=k):
             cw = encode(gf9, coeffs)
-            got, _ = repair_pipeline(gf9, k, 0, erase_zero(cw), plan=plan)
+            got, _ = repair_pipeline(gf9, k, 0, erase(cw, 0), plan=plan)
             repairs += 1
             if got != cw.values[0]:
                 failures.append(("gf9", k, coeffs))
@@ -157,7 +157,7 @@ def test_criterion_7_bandwidth_dominance(gf64_over_gf8) -> None:
     rows = bandwidth_table(gf64_over_gf8, 56)
     bad = []
     for row in rows:
-        d = repair_space_dim(cc, row.k)
+        d = filter_cosets(cc, row.k).dim
         if row.ours > row.classical or row.ours > row.gw:
             bad.append(row)
         if d >= 1 and not row.ours < row.gw:
@@ -176,7 +176,7 @@ def test_criterion_8_download_bound_sweep() -> None:
         n = q ** t
         cc = enumerate_cosets(q, t)
         for k in range(1, n - n // q + 1):
-            if n - 1 - repair_space_dim(cc, k) > k * t:
+            if n - 1 - filter_cosets(cc, k).dim > k * t:
                 bad.append((p, m, t, k))
     elapsed = time.perf_counter() - t0
     ok = not bad and elapsed < 1
@@ -232,7 +232,7 @@ def test_criterion_9_property_suites(gf9, gf64_over_gf8) -> None:
     for k in (1, 3, 6):
         coeffs = tuple(rng.randrange(9) for _ in range(k))
         cw = encode(gf9, coeffs)
-        gone = erase_zero(cw)
+        gone = erase(cw, 0)
         got = {repair_pipeline(gf9, k, r, gone)[0] for r in range(8)}
         if got != {cw.values[0]}:
             problems.append(("window", k, got))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -158,6 +159,15 @@ def test_usage_error_nonprime(capsys) -> None:
     assert "error:" in err
 
 
+@pytest.mark.parametrize("command", [["cosets"], ["dim", "--k", "3"]])
+def test_usage_error_over_table_limit(capsys, command) -> None:
+    # refused by size before trial division of p, which would take seconds
+    code, out, err = run(capsys, *command, "--p", "100000000000031", "--m", "1", "--t", "1")
+    assert code == 2
+    assert out == ""
+    assert "error:" in err and "table limit" in err
+
+
 def test_usage_error_bad_k(capsys) -> None:
     code, _, err = run(capsys, "dim", "--p", "3", "--m", "1", "--t", "2", "--k", "9")
     assert code == 2
@@ -174,3 +184,26 @@ def test_usage_error_unknown_command() -> None:
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+# Golden bytes on odd-p towers beyond GF(9); captured before odd-p addition
+# moved to Zech logarithms, so they pin the arithmetic bit for bit.
+
+def test_repair_golden_gf343(capsys) -> None:
+    code, out, _ = run(capsys, "repair", "--p", "7", "--m", "1", "--t", "3",
+                       "--k", "147", "--r", "5", "--seed", "3", "--format", "json")
+    assert code == 0
+    assert out == ('{"recovered": "w^212", "match": true, "helpers": 279, '
+                   '"b_symbols": 279, "bits": 837}\n')
+
+
+def test_plan_golden_gf243(capsys) -> None:
+    code, out, _ = run(capsys, "plan", "--p", "3", "--m", "1", "--t", "5",
+                       "--k", "40", "--r", "9")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["d"] == 121
+    assert doc["omitted"] == list(range(9, 130))
+    assert len(doc["cosets"]) == 25
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "d5289b95b069a4edf16d3f2875db645ba46a40ef208e27aad267e6092d17bbcc")

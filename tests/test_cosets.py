@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from tracerepair.cosets import enumerate_cosets, filter_cosets, repair_space_dim
+from tracerepair.cosets import enumerate_cosets, filter_cosets
 
 SEVEN_FIELDS = ((2, 2), (3, 2), (4, 2), (2, 3), (2, 4), (5, 2), (8, 2))
 
@@ -23,6 +23,8 @@ def test_enumerate_rejects_bad_input() -> None:
         enumerate_cosets(6, 2)  # not a prime power
     with pytest.raises(ValueError):
         enumerate_cosets(3, 0)
+    with pytest.raises(ValueError, match="table limit"):
+        enumerate_cosets(2, 21)  # 2^21 over the table limit
 
 
 @pytest.mark.parametrize("q,t", SEVEN_FIELDS)
@@ -62,7 +64,7 @@ def test_gf9_filter_golden_k3() -> None:
 
 def test_gf9_dim_series() -> None:
     cc = enumerate_cosets(3, 2)
-    assert [repair_space_dim(cc, k) for k in range(1, 9)] == [6, 5, 3, 1, 1, 0, 0, 0]
+    assert [filter_cosets(cc, k).dim for k in range(1, 9)] == [6, 5, 3, 1, 1, 0, 0, 0]
 
 
 def test_k1_keeps_zero_coset() -> None:
@@ -75,14 +77,14 @@ def test_k1_keeps_zero_coset() -> None:
 
 def test_gf4_degenerates() -> None:
     cc = enumerate_cosets(2, 2)
-    assert repair_space_dim(cc, 1) == 1
-    assert repair_space_dim(cc, 2) == 0
+    assert filter_cosets(cc, 1).dim == 1
+    assert filter_cosets(cc, 2).dim == 0
 
 
 def test_gf64_over_gf8_extremes() -> None:
     cc = enumerate_cosets(8, 2)
-    assert repair_space_dim(cc, 1) == 61
-    assert repair_space_dim(cc, 56) == 0
+    assert filter_cosets(cc, 1).dim == 61
+    assert filter_cosets(cc, 56).dim == 0
 
 
 @pytest.mark.parametrize("q,t", SEVEN_FIELDS)

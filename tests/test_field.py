@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from collections import Counter
 
 import pytest
@@ -21,6 +22,11 @@ def test_construction_rejects_bad_input() -> None:
         construct_field(2, 0, 2)
     with pytest.raises(ValueError):
         construct_field(2, 1, 21)  # 2^21 over the table limit
+    # the size check runs first: trial division of this p takes seconds
+    with pytest.raises(ValueError, match="table limit"):
+        construct_field(100000000000031, 1, 1)
+    with pytest.raises(ValueError, match="table limit"):
+        construct_field(3, 1, 10 ** 9)  # refused without computing 3^(10^9)
 
 
 def test_construction_deterministic() -> None:
@@ -66,6 +72,47 @@ def test_additive_structure(gf9, gf25) -> None:
         for x in ctx.elements():
             for y in ctx.elements():
                 assert ctx.add(x, y) == ctx.add(y, x)
+
+
+def _digit_add(x: int, y: int, p: int) -> int:
+    z, mult = 0, 1
+    while x or y:
+        z += (x % p + y % p) % p * mult
+        x, y, mult = x // p, y // p, mult * p
+    return z
+
+
+def _digit_neg(x: int, p: int) -> int:
+    z, mult = 0, 1
+    while x:
+        z += (-x) % p * mult
+        x, mult = x // p, mult * p
+    return z
+
+
+@pytest.mark.parametrize("p,m,t", [(3, 1, 2), (5, 1, 2), (3, 1, 3), (3, 1, 5)])
+def test_add_is_digitwise_exhaustive(p, m, t) -> None:
+    ctx = construct_field(p, m, t)
+    for x in ctx.elements():
+        nx = _digit_neg(x, p)
+        assert ctx.neg(x) == nx
+        for y in ctx.elements():
+            assert ctx.add(x, y) == _digit_add(x, y, p)
+            assert ctx.sub(y, x) == _digit_add(y, nx, p)
+
+
+@pytest.mark.parametrize("p,m,t", [(7, 1, 3), (3, 2, 3), (3, 1, 7), (5, 1, 5)])
+def test_add_is_digitwise_sampled(p, m, t) -> None:
+    ctx = construct_field(p, m, t)
+    rng = random.Random(ctx.order)
+    for _ in range(3000):
+        x, y = rng.randrange(ctx.order), rng.randrange(ctx.order)
+        nx = _digit_neg(x, p)
+        assert ctx.neg(x) == nx
+        for a, b in ((x, y), (y, x), (x, 0), (0, y), (x, nx), (nx, x)):
+            assert ctx.add(a, b) == _digit_add(a, b, p)
+        assert ctx.sub(x, y) == _digit_add(x, _digit_neg(y, p), p)
+        assert ctx.add(x, nx) == 0
 
 
 def test_distributivity_exhaustive_gf9(gf9) -> None:

@@ -4,7 +4,7 @@ import types
 
 import pytest
 
-from tracerepair.cosets import enumerate_cosets, repair_space_dim
+from tracerepair.cosets import enumerate_cosets, filter_cosets
 from tracerepair.oracle import (VERIFICATION_FIELDS, brute_dim,
                                 brute_repair_check, equivalence_report,
                                 rank_over_base)
@@ -35,7 +35,7 @@ def test_formula_matches_oracle_small_fields(gf4, gf9, gf8, gf16_over_gf2) -> No
     for ctx in (gf4, gf9, gf8, gf16_over_gf2):
         cc = enumerate_cosets(ctx.q, ctx.t)
         for k in range(1, ctx.order):
-            assert repair_space_dim(cc, k) == brute_dim(ctx, k), (ctx, k)
+            assert filter_cosets(cc, k).dim == brute_dim(ctx, k), (ctx, k)
 
 
 def test_rank_over_base(gf9) -> None:

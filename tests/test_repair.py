@@ -14,7 +14,7 @@ from tracerepair.repair import (bandwidth_table, build_plan, gw_finish,
                                 gw_max_k, plan_from_dict, plan_to_dict,
                                 recover_missing_traces, repair_at,
                                 repair_pipeline)
-from tracerepair.rs import encode, erase, erase_zero
+from tracerepair.rs import encode, erase
 
 
 def _plan(ctx, k, r):
@@ -255,7 +255,7 @@ def test_one_factorization_per_plan_one_solve_per_repair(gf64_over_gf8,
     plan = _plan(ctx, 10, 5)
     assert calls == ["factor"]
     cw = encode(ctx, tuple(range(10)))
-    got, _ = repair_pipeline(ctx, 10, 5, erase_zero(cw), plan=plan)
+    got, _ = repair_pipeline(ctx, 10, 5, erase(cw, 0), plan=plan)
     assert got == cw.values[0]
     assert calls == ["factor", "solve"]
 
@@ -293,7 +293,7 @@ def test_gw_finish_validates(gf9) -> None:
 
 def test_pipeline_gf9_golden(gf9) -> None:
     cw = encode(gf9, (5, 2, 7))
-    got, report = repair_pipeline(gf9, 3, 0, erase_zero(cw))
+    got, report = repair_pipeline(gf9, 3, 0, erase(cw, 0))
     assert got == cw.values[0]
     assert report.helpers_contacted == 5
     assert report.b_symbols == 5
@@ -302,20 +302,20 @@ def test_pipeline_gf9_golden(gf9) -> None:
 
 def test_pipeline_k1_two_helpers(gf9) -> None:
     cw = encode(gf9, (8,))
-    got, report = repair_pipeline(gf9, 1, 3, erase_zero(cw))
+    got, report = repair_pipeline(gf9, 1, 3, erase(cw, 0))
     assert got == 8
     assert report.b_symbols == 2
 
 
 def test_pipeline_degenerate_plain_gw(gf4) -> None:
     cw = encode(gf4, (3, 2))
-    got, report = repair_pipeline(gf4, 2, 0, erase_zero(cw))
+    got, report = repair_pipeline(gf4, 2, 0, erase(cw, 0))
     assert got == 3
     assert report.b_symbols == 3  # no omissions: every helper ships one bit
 
 
 def test_pipeline_window_invariance(gf9) -> None:
-    cw = erase_zero(encode(gf9, (4, 0, 2)))
+    cw = erase(encode(gf9, (4, 0, 2)), 0)
     results = {repair_pipeline(gf9, 3, r, cw)[0] for r in range(8)}
     assert results == {4}
 
@@ -324,7 +324,7 @@ def test_pipeline_with_prebuilt_plan(gf9) -> None:
     plan = _plan(gf9, 2, 5)
     for coeffs in itertools.product(range(9), repeat=2):
         cw = encode(gf9, coeffs)
-        got, _ = repair_pipeline(gf9, 2, 5, erase_zero(cw), plan=plan)
+        got, _ = repair_pipeline(gf9, 2, 5, erase(cw, 0), plan=plan)
         assert got == coeffs[0]
 
 
@@ -333,12 +333,12 @@ def test_pipeline_validates(gf9, gf4) -> None:
     with pytest.raises(ValueError):
         repair_pipeline(gf9, 3, 0, cw)  # nothing erased
     with pytest.raises(ValueError):
-        repair_pipeline(gf9, 2, 0, erase_zero(cw))  # wrong k
+        repair_pipeline(gf9, 2, 0, erase(cw, 0))  # wrong k
     with pytest.raises(ValueError):
-        repair_pipeline(gf9, 3, 1, erase_zero(cw), plan=_plan(gf9, 3, 0))
+        repair_pipeline(gf9, 3, 1, erase(cw, 0), plan=_plan(gf9, 3, 0))
     other = encode(gf4, (1, 2))
     with pytest.raises(ValueError):
-        repair_pipeline(gf9, 2, 0, erase_zero(other))
+        repair_pipeline(gf9, 2, 0, erase(other, 0))
 
 
 def test_repair_at_shifted_position(gf9) -> None:
@@ -353,7 +353,7 @@ def test_repair_at_shifted_position(gf9) -> None:
 
 def test_repair_at_position_zero_delegates(gf9) -> None:
     cw = encode(gf9, (6, 1, 0))
-    got, _ = repair_at(gf9, 3, 0, erase_zero(cw), 0)
+    got, _ = repair_at(gf9, 3, 0, erase(cw, 0), 0)
     assert got == 6
 
 

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from tracerepair.rs import (Codeword, classical_repair, encode, erase,
-                            erase_zero, position_point)
+                            position_point)
 
 
 def test_position_indexing(gf9) -> None:
@@ -43,14 +43,14 @@ def test_encode_validates(gf9) -> None:
 
 def test_erasure_bookkeeping(gf9) -> None:
     cw = encode(gf9, (1, 2))
-    gone = erase_zero(cw)
+    gone = erase(cw, 0)
     assert gone.erased == {0}
     assert cw.erased == frozenset()  # original untouched
     with pytest.raises(ValueError):
         gone.value_at(0)
     assert gone.value_at(3) == cw.values[3]
     with pytest.raises(ValueError):
-        erase_zero(gone)
+        erase(gone, 0)
 
 
 def test_erase_arbitrary_position(gf9) -> None:
@@ -65,25 +65,25 @@ def test_classical_repair_gf9(gf9) -> None:
     rng = random.Random(11)
     for _ in range(50):
         coeffs = tuple(rng.randrange(9) for _ in range(3))
-        cw = erase_zero(encode(gf9, coeffs))
+        cw = erase(encode(gf9, coeffs), 0)
         helpers = rng.sample(range(1, 9), 3)
         assert classical_repair(cw, helpers) == coeffs[0]
 
 
 def test_classical_repair_every_helper_subset(gf4) -> None:
     for coeffs in itertools.product(range(4), repeat=2):
-        cw = erase_zero(encode(gf4, coeffs))
+        cw = erase(encode(gf4, coeffs), 0)
         for helpers in itertools.combinations(range(1, 4), 2):
             assert classical_repair(cw, helpers) == coeffs[0]
 
 
 def test_classical_repair_k1(gf9) -> None:
-    cw = erase_zero(encode(gf9, (6,)))
+    cw = erase(encode(gf9, (6,)), 0)
     assert classical_repair(cw, [4]) == 6
 
 
 def test_classical_repair_validates(gf9) -> None:
-    cw = erase_zero(encode(gf9, (1, 2, 3)))
+    cw = erase(encode(gf9, (1, 2, 3)), 0)
     with pytest.raises(ValueError):
         classical_repair(cw, [1, 2])          # too few
     with pytest.raises(ValueError):
