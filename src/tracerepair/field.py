@@ -18,6 +18,13 @@ the antilog table because adding 1 changes only the lowest base-p digit;
 negation multiplies by -1 = w^((p^(m*t) - 1)/2).  The integer encoding
 is the same for every p, so results match digit-wise arithmetic exactly.
 
+The vector kernels (neg_logs, sum_powers, axpy, dot) serve the LU and
+the repair check sums.  They work on discrete logs straight from the
+tables, with no method call per element: a sum of powers of w is an
+XOR-reduce for p = 2 and a Zech chain on the log of the running sum for
+odd p.  A row of operands is stored as log(-x) per entry, -1 for zero;
+that encoding is private to this module.
+
 Construction is deterministic: the modulus is the monic irreducible
 polynomial of degree m*t with the smallest integer encoding, and the
 primitive element is the smallest integer of multiplicative order
@@ -26,6 +33,9 @@ element by element.
 """
 
 from __future__ import annotations
+
+from functools import reduce
+from operator import xor
 
 from . import linalg
 
@@ -201,9 +211,13 @@ class FieldTower:
         self._log = log
         self._antilog = antilog + antilog
         p = self.p
-        if p != 2:
-            # log[0] == -1 marks 1 + w^i == 0
-            self._zech = [log[v - v % p + (v + 1) % p] for v in antilog]
+        if p == 2:
+            self._log_minus_one = 0
+        else:
+            # log[0] == -1 marks 1 + w^i == 0; doubled like the antilog
+            # table, so a difference of two doubled logs indexes it
+            zech = [log[v - v % p + (v + 1) % p] for v in antilog]
+            self._zech = zech + zech
             self._log_minus_one = (order - 1) // 2
 
     def _compute_dual_basis(self) -> tuple[int, ...]:
@@ -231,7 +245,7 @@ class FieldTower:
         if y == 0:
             return x
         lx = self._log[x]
-        # a negative index wraps mod order - 1, the length of _zech
+        # a negative index wraps mod 2 (order - 1), the length of _zech
         z = self._zech[self._log[y] - lx]
         return 0 if z < 0 else self._antilog[lx + z]
 
@@ -271,6 +285,55 @@ class FieldTower:
         if x == 0:
             raise ValueError("log of zero")
         return self._log[x]
+
+    # -- vector kernels (see the module docstring) -------------------
+
+    def neg_logs(self, xs) -> list[int]:
+        """Operand row of xs: log(-x) per entry, for axpy and dot."""
+        # log[-x] rather than (log x + log(-1)) % (order - 1): the entry is
+        # then the log table's own int, not one new object per entry
+        log, antilog, lm1 = self._log, self._antilog, self._log_minus_one
+        return [log[antilog[log[x] + lm1]] if x else -1 for x in xs]
+
+    def sum_powers(self, exps) -> int:
+        """Sum of w^e over exponents e in [0, 2 (order - 1))."""
+        antilog = self._antilog
+        if self.p == 2:
+            return reduce(xor, map(antilog.__getitem__, exps), 0)
+        # Zech chain on the log of the running sum, -1 while it is zero:
+        # w^s + w^e = w^(s + zech[e - s])
+        zech, mod = self._zech, self.order - 1
+        acc = -1
+        for e in exps:
+            if acc < 0:
+                acc = e
+            else:
+                z = zech[e - acc]
+                acc = -1 if z < 0 else (acc + z) % mod
+        return 0 if acc < 0 else antilog[acc]
+
+    def dot(self, row, ys) -> int:
+        """-sum of x * y over the entries x of an operand row and the elements ys."""
+        log = self._log
+        return self.sum_powers([lx + log[y] for lx, y in zip(row, ys) if lx >= 0 and y])
+
+    def axpy(self, ys, c: int, row) -> list[int]:
+        """ys - w^c * x per entry x of an operand row, c in [0, order - 1)."""
+        antilog = self._antilog
+        if self.p == 2:
+            return [y ^ antilog[c + lx] if lx >= 0 else y for y, lx in zip(ys, row)]
+        log, zech = self._log, self._zech
+        out = []
+        for y, lx in zip(ys, row):
+            if lx >= 0:
+                if y:
+                    ly = log[y]
+                    z = zech[c + lx - ly]
+                    y = 0 if z < 0 else antilog[ly + z]
+                else:
+                    y = antilog[c + lx]
+            out.append(y)
+        return out
 
     # -- tower structure ---------------------------------------------
 

@@ -1,9 +1,12 @@
 """Exact dense linear algebra over a finite field context.
 
 Matrices are lists of row lists of field elements (ints).  Every routine
-takes the field as its first argument and only uses add/sub/mul/inv, so
-the same code serves F and any subfield whose elements are closed under
-those operations.
+takes the field as its first argument.  The LU factorization runs on
+log-domain rows through the field's vector kernels (neg_logs, axpy, dot);
+rank, mat_vec and mat_mul stay scalar add/mul/inv code, so the oracle
+that checks the repair path through them shares no kernel with it.
+Every routine serves F and, unchanged, B-valued matrices, since B is
+closed under the field operations.
 """
 
 from __future__ import annotations
@@ -45,7 +48,10 @@ class LUFactorization:
     """PA = LU with pivoting on the first nonzero entry per column.
 
     Solves are exact and performed per right-hand side by forward and
-    back substitution; no inverse matrix is ever formed.
+    back substitution; no inverse matrix is ever formed.  Each row of
+    the factors is kept as an operand row (see FieldTower.neg_logs) from
+    the step it becomes the pivot, so elimination is one axpy per row
+    and each substitution step is one dot.
     """
 
     def __init__(self, ctx, mat):
@@ -54,7 +60,8 @@ class LUFactorization:
         if any(len(row) != n for row in a):
             raise ValueError("matrix must be square")
         perm = list(range(n))
-        mul, sub, inv = ctx.mul, ctx.sub, ctx.inv
+        inv_diag = []
+        mul, inv, log = ctx.mul, ctx.inv, ctx.log
         for col in range(n):
             piv = next((r for r in range(col, n) if a[r][col]), None)
             if piv is None:
@@ -63,18 +70,19 @@ class LUFactorization:
                 a[col], a[piv] = a[piv], a[col]
                 perm[col], perm[piv] = perm[piv], perm[col]
             inv_p = inv(a[col][col])
-            prow = a[col]
+            inv_diag.append(inv_p)
+            a[col] = prow = ctx.neg_logs(a[col])
+            tail = prow[col + 1:]
             for r in range(col + 1, n):
                 row = a[r]
                 if not row[col]:
                     continue
                 f = mul(row[col], inv_p)
                 row[col] = f
-                for j in range(col + 1, n):
-                    if prow[j]:
-                        row[j] = sub(row[j], mul(f, prow[j]))
+                row[col + 1:] = ctx.axpy(row[col + 1:], log(f), tail)
         self._ctx = ctx
         self._a = a
+        self._inv_diag = inv_diag
         self._perm = perm
         self.n = n
 
@@ -84,25 +92,16 @@ class LUFactorization:
         n = self.n
         if len(rhs) != n:
             raise ValueError("rhs length mismatch")
-        mul, sub = ctx.mul, ctx.sub
-        # forward: L y = P rhs, unit diagonal
-        y = [rhs[p] for p in self._perm]
-        for i in range(1, n):
-            row = a[i]
-            acc = y[i]
-            for j in range(i):
-                if row[j] and y[j]:
-                    acc = sub(acc, mul(row[j], y[j]))
-            y[i] = acc
-        # back: U x = y
-        x = [0] * n
+        add, mul, dot = ctx.add, ctx.mul, ctx.dot
+        # forward: L y = P rhs, unit diagonal; zip stops at column i
+        y = []
+        for i, p in enumerate(self._perm):
+            y.append(add(rhs[p], dot(a[i], y)))
+        # back: U x = y, with x built from the last entry down
+        x = []
         for i in range(n - 1, -1, -1):
-            row = a[i]
-            acc = y[i]
-            for j in range(i + 1, n):
-                if row[j] and x[j]:
-                    acc = sub(acc, mul(row[j], x[j]))
-            x[i] = ctx.div(acc, row[i])
+            x.append(mul(add(y[i], dot(a[i][:i:-1], x)), self._inv_diag[i]))
+        x.reverse()
         return x
 
 

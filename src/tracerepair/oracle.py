@@ -41,6 +41,12 @@ VERIFICATION_FIELDS = (
 
 _BRUTE_LIMIT = 1 << 12
 
+# Largest tower order equivalence_report accepts.  It runs brute_dim for
+# every k, and that time grows like n^4: on a 2-vCPU host `tracerepair
+# verify` took 1.9-3.1 s on the GF(64) towers, 6.9-9.1 s on the GF(81)
+# towers and 57 s on GF(125), and did not finish in 10 minutes on GF(343).
+VERIFY_LIMIT = 81
+
 
 def brute_dim(ctx: FieldTower, k: int) -> int:
     """Nullity over B of the dual-membership system, from first principles."""
@@ -174,8 +180,14 @@ def equivalence_report(fields=VERIFICATION_FIELDS, perturb: int = 0) -> list[dic
     """Formula vs brute-force dimension for every k of every field.
 
     perturb shifts the formula value and exists only so the verify
-    command's failure path can be exercised.
+    command's failure path can be exercised.  A tower of order above
+    VERIFY_LIMIT raises ValueError before any field is built.
     """
+    fields = list(fields)
+    for p, m, t in fields:
+        e = m * t
+        if e > VERIFY_LIMIT.bit_length() or p ** e > VERIFY_LIMIT:
+            raise ValueError(f"order {p}^{e} exceeds verify limit {VERIFY_LIMIT}")
     rows = []
     for p, m, t in fields:
         ctx = construct_field(p, m, t)

@@ -12,8 +12,12 @@ therefore have its traces reconstructed from everyone else instead of
 downloaded: the window block E = (omega^(a (r + c))) is a Vandermonde
 matrix in the distinct nodes omega^a, so it is LU-factored once per
 plan and each repair costs one forward and one back substitution.  The
-remaining n - 1 - d traces are finished into the erased value by the
-Guruswami-Wootters recombination f(0) = -sum over a of a * tau_a.
+right-hand side is folded by Frobenius: every downloaded tau_e lies in
+B, so the check sum at a q is the q-th power of the one at a, and each
+selected coset costs one evaluation at its first exponent.  A download
+outside B is refused, since the fold would turn it into a wrong value.
+The remaining n - 1 - d traces are finished into the erased value by
+the Guruswami-Wootters recombination f(0) = -sum over a of a * tau_a.
 """
 
 from __future__ import annotations
@@ -85,28 +89,37 @@ def build_plan(ctx: FieldTower, fc: FilteredCosets, r: int) -> RepairPlan:
 def recover_missing_traces(plan: RepairPlan, downloaded) -> dict:
     """Reconstruct the window traces from the downloaded ones.
 
-    Returns {point: trace} for the d window points.
+    Returns {point: trace} for the d window points.  A downloaded trace
+    outside B raises ValueError naming its helper: the Frobenius fold
+    below holds only for B-valued traces.
     """
     ctx = plan.ctx
     helpers = plan.helpers
     if set(downloaded) != set(helpers):
         raise ValueError("downloaded traces must cover exactly the helper set")
+    for e, a in zip(plan.helper_exps, helpers):
+        if not ctx.in_base_field(downloaded[a]):
+            raise ValueError(f"trace from helper w^{e} is not in the base field")
     if plan.dim == 0:
         return {}
-    add, exp, log = ctx.add, ctx.exp, ctx.log
-    # omega^(a e) * tau_e is one antilog lookup once log tau_e is known.
+    mod = ctx.order - 1
     logs = []
     for e, a in zip(plan.helper_exps, helpers):
         v = downloaded[a]
         if v:
-            logs.append((e, log(v)))
+            logs.append((e, ctx.log(v)))
+    # The check sum S_a = sum over e of omega^(a e) * tau_e is one
+    # sum_powers call.  Its coset is listed a, a q, a q^2, ..., and each
+    # tau_e is fixed by x -> x^q, so S_(a q) = S_a^q: one evaluation per
+    # coset, then Frobenius.
     rhs = []
     for coset in plan.cosets.selected:
-        for a in coset.elements:
-            acc = 0
-            for e, lv in logs:
-                acc = add(acc, exp(a * e + lv))
-            rhs.append(ctx.neg(acc))
+        a = coset.elements[0]
+        s = ctx.neg(ctx.sum_powers([a * e % mod + lv for e, lv in logs]))
+        rhs.append(s)
+        for _ in coset.elements[1:]:
+            s = ctx.frobenius(s)
+            rhs.append(s)
     window = plan._e_lu.solve(rhs)
     entries = {}
     for a, v in zip(plan.omitted, window):

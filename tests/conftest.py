@@ -1,8 +1,15 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from tracerepair.field import construct_field
+
+# Property tests draw from a fixed seed and have no per-example deadline,
+# so a slow or busy host neither fails them nor changes what they draw.
+settings.register_profile("deterministic", derandomize=True, deadline=None,
+                          database=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

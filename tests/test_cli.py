@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -145,6 +146,16 @@ def test_verify_json(capsys) -> None:
     doc = json.loads(out)
     assert doc["ok"] is True
     assert len(doc["rows"]) == 3
+
+
+def test_verify_refuses_large_tower_at_once(capsys) -> None:
+    # GF(343): the brute-force sweep would run for many minutes
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--p", "7", "--m", "1", "--t", "3")
+    assert time.perf_counter() - start < 5
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "verify limit 81" in err
 
 
 def test_verify_partial_field_flags(capsys) -> None:

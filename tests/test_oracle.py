@@ -4,8 +4,9 @@ import types
 
 import pytest
 
+from tracerepair import oracle
 from tracerepair.cosets import enumerate_cosets, filter_cosets
-from tracerepair.oracle import (VERIFICATION_FIELDS, brute_dim,
+from tracerepair.oracle import (VERIFICATION_FIELDS, VERIFY_LIMIT, brute_dim,
                                 brute_repair_check, equivalence_report,
                                 rank_over_base)
 from tracerepair.repair import gw_max_k
@@ -77,3 +78,16 @@ def test_equivalence_report_clean() -> None:
 def test_equivalence_report_fault_injection() -> None:
     rows = equivalence_report(fields=((2, 1, 2),), perturb=1)
     assert all(not r["ok"] for r in rows)
+
+
+def test_equivalence_report_refuses_large_tower_first(monkeypatch) -> None:
+    assert all(p ** (m * t) <= VERIFY_LIMIT for p, m, t in VERIFICATION_FIELDS)
+
+    def no_build(*args):
+        raise AssertionError("field built before the size check")
+
+    monkeypatch.setattr(oracle, "construct_field", no_build)
+    # the over-limit tower comes last: nothing runs before the refusal
+    for big in ((5, 1, 3), (2, 7, 1), (2, 1, 10 ** 9)):
+        with pytest.raises(ValueError, match="verify limit"):
+            equivalence_report(fields=((2, 1, 2), big))

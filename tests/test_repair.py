@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import random
@@ -8,6 +9,7 @@ import pytest
 
 from tracerepair import linalg
 from tracerepair.cosets import enumerate_cosets, filter_cosets
+from tracerepair.field import construct_field
 from tracerepair.oracle import (rank_over_base, trace_matrix, trace_poly,
                                 vander_blocks, verify_factorization)
 from tracerepair.repair import (bandwidth_table, build_plan, gw_finish,
@@ -258,6 +260,87 @@ def test_one_factorization_per_plan_one_solve_per_repair(gf64_over_gf8,
     got, _ = repair_pipeline(ctx, 10, 5, erase(cw, 0), plan=plan)
     assert got == cw.values[0]
     assert calls == ["factor", "solve"]
+
+
+def test_one_check_sum_per_selected_coset(gf64_over_gf8, monkeypatch) -> None:
+    # GF(64)/GF(2) at k = 1 selects cosets of every size: 1, 2, 3 and 6
+    for ctx, k in ((gf64_over_gf8, 10), (construct_field(2, 1, 6), 1),
+                   (construct_field(7, 1, 3), 147)):
+        plan = _plan(ctx, k, 5)
+        calls = []
+        real_sum = ctx.sum_powers
+        real_solve = linalg.LUFactorization.solve
+
+        def sum_powers(exps, real_sum=real_sum):
+            calls.append("sum")
+            return real_sum(exps)
+
+        def solve(self, rhs, real_solve=real_solve):
+            calls.append("solve")
+            return real_solve(self, rhs)
+
+        monkeypatch.setattr(ctx, "sum_powers", sum_powers)
+        monkeypatch.setattr(linalg.LUFactorization, "solve", solve)
+        cw = encode(ctx, tuple(range(k)))
+        got, _ = repair_pipeline(ctx, k, 5, erase(cw, 0), plan=plan)
+        assert got == cw.values[0]
+        assert calls.count("solve") == 1
+        assert calls[:calls.index("solve")] == ["sum"] * len(plan.cosets.selected)
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("p,m,t,k", [(2, 1, 4, 2), (2, 1, 4, 4), (2, 3, 2, 10)])
+def test_recover_refuses_non_base_download(p, m, t, k, monkeypatch) -> None:
+    ctx = construct_field(p, m, t)
+    plan = _plan(ctx, k, 3)
+    bad = [x for x in ctx.elements() if not ctx.in_base_field(x)]
+    cw = encode(ctx, tuple(range(1, k + 1)))
+    truth = _direct_traces(ctx, cw)
+
+    def no_log(x):
+        raise AssertionError("log taken before the base-field check")
+
+    monkeypatch.setattr(ctx, "log", no_log)
+    for i, (e, a) in enumerate(zip(plan.helper_exps, plan.helpers)):
+        downloaded = {h: truth[h] for h in plan.helpers}
+        downloaded[a] = bad[i % len(bad)]
+        with pytest.raises(ValueError, match=rf"helper w\^{e} "):
+            recover_missing_traces(plan, downloaded)
+
+
+def _recover_digest(p, m, t, k, r, draws=3):
+    """SHA-256 of recover_missing_traces on seeded B-valued downloads.
+
+    The downloads are not traces of a codeword, so every window value
+    depends on every check sum and on the whole solve.
+    """
+    ctx = construct_field(p, m, t)
+    plan = _plan(ctx, k, r)
+    rng = random.Random(p * 10007 + m * 101 + t * 11 + k)
+    base = ctx.base_field_elements()
+    out = []
+    for _ in range(draws):
+        downloaded = {a: rng.choice(base) for a in plan.helpers}
+        out.append(sorted(recover_missing_traces(plan, downloaded).items()))
+    sizes = sorted({c.size for c in plan.cosets.selected})
+    return sizes, hashlib.sha256(repr(out).encode()).hexdigest()
+
+
+# Digests captured before the check sums were folded by Frobenius.
+@pytest.mark.parametrize("p,m,t,k,r,sizes,digest", [
+    (2, 1, 6, 1, 17, [1, 2, 3, 6],
+     "ac46ae4745caef68b3945eadb9ee98d34943c50bc3ea3d2d0e6319c2c0c0bd4e"),
+    (2, 1, 6, 8, 40, [2, 3, 6],
+     "0cab367782aea671169ed0d70dcc04c16df86e2933b685a6f88470970fc2251d"),
+    (2, 2, 4, 96, 200, [1, 2, 4],
+     "e00ad7e157022ee93f3300cc51effa490ddb1acbccf7ae20b2a0684dddcfd6f5"),
+    (3, 1, 5, 81, 230, [1, 5],
+     "47e6c9ffe3b996f657472b5e384093ee170ae2b880be4527c23433ba39afecb4"),
+    (7, 1, 3, 147, 5, [1, 3],
+     "9e1a48556067a858e8515a1a43f240ae038da9d39c756376290b11251ad80be7"),
+])
+def test_recover_golden_all_coset_sizes(p, m, t, k, r, sizes, digest) -> None:
+    assert _recover_digest(p, m, t, k, r) == (sizes, digest)
 
 
 # -- finishing ------------------------------------------------------
