@@ -6,12 +6,14 @@ A codeword over GF(9) loses the symbol at position 0.  The classical
 fix downloads k full symbols.  Here we walk the trace route instead:
 every helper ships a single GF(3) symbol, a whole window of helpers
 ships nothing at all, and linear algebra over the tower fills the gap.
+The same plan then repairs a second, nonzero position.
 """
 
 from tracerepair import (build_plan, classical_repair, encode,
                          enumerate_cosets, erase, filter_cosets,
                          construct_field, gw_finish, gw_max_k,
-                         recover_missing_traces, repair_pipeline)
+                         position_point, recover_missing_traces,
+                         repair_pipeline)
 
 ctx = construct_field(3, 1, 2)
 k = 3
@@ -70,3 +72,13 @@ print(f"classical:       {k} GF(9) symbols = {k * ctx.t * bits} bits")
 print(f"full-trace:      {ctx.order - 1} GF(3) symbols = "
       f"{(ctx.order - 1) * bits} bits")
 print(f"(cap on k for trace repair here: {gw_max_k(ctx)})")
+print()
+
+# Nothing above depends on the erased point being 0.  At x0, helper a
+# is read in place at x0 + a and ships trace(f(x0 + a)/a), and
+# f(x0) = -sum_a a * trace(f(x0 + a)/a); the same plan serves.
+pos = 5
+value3, report = repair_pipeline(ctx, k, 0, erase(cw, pos), plan)
+assert value3 == cw.values[pos]
+print(f"erased position {pos} (point {position_point(ctx, pos)}): "
+      f"rebuilt {value3}, truth {cw.values[pos]}, {report.b_symbols} GF(3) symbols")

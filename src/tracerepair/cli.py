@@ -14,7 +14,7 @@ import random
 import sys
 
 from .cosets import enumerate_cosets, filter_cosets
-from .field import check_table_limit, construct_field, is_prime
+from .field import check_tower, construct_field
 from .oracle import VERIFICATION_FIELDS, brute_repair_check, equivalence_report
 from .repair import (bandwidth_table, build_plan, gw_max_k, plan_to_dict,
                      repair_pipeline)
@@ -30,11 +30,7 @@ def _fmt_coset(c) -> str:
 
 
 def _cosets_for(args):
-    if args.m < 1 or args.t < 1:
-        raise ValueError("m and t must be positive")
-    check_table_limit(args.p, args.m * args.t)
-    if not is_prime(args.p):
-        raise ValueError(f"p must be prime, got {args.p}")
+    check_tower(args.p, args.m, args.t)
     return enumerate_cosets(args.p ** args.m, args.t)
 
 

@@ -62,11 +62,24 @@ def is_prime(n: int) -> bool:
     return n >= 2 and _prime_factors(n) == [n]
 
 
+def check_order_limit(base: int, exponent: int, limit: int, kind: str) -> None:
+    """Refuse base^exponent > limit without computing a huge power."""
+    if base >= 2 and (exponent > limit.bit_length() or base ** exponent > limit):
+        raise ValueError(f"order {base}^{exponent} exceeds {kind} limit {limit}")
+
+
 def check_table_limit(base: int, exponent: int) -> None:
-    """Refuse base^exponent > TABLE_LIMIT without computing a huge power."""
-    if base >= 2 and (exponent > TABLE_LIMIT.bit_length()
-                      or base ** exponent > TABLE_LIMIT):
-        raise ValueError(f"order {base}^{exponent} exceeds table limit {TABLE_LIMIT}")
+    """Refuse a field larger than TABLE_LIMIT before any table is built."""
+    check_order_limit(base, exponent, TABLE_LIMIT, "table")
+
+
+def check_tower(p: int, m: int, t: int) -> None:
+    """Refuse (p, m, t) naming no tower that can be built, cheapest check first."""
+    if m < 1 or t < 1:
+        raise ValueError("m and t must be positive")
+    check_table_limit(p, m * t)  # before the trial division in is_prime
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
 
 
 def _digits(x: int, p: int) -> list[int]:
@@ -145,12 +158,8 @@ class FieldTower:
     """
 
     def __init__(self, p: int, m: int, t: int):
-        if m < 1 or t < 1:
-            raise ValueError("m and t must be positive")
+        check_tower(p, m, t)
         degree = m * t
-        check_table_limit(p, degree)  # before the trial division in is_prime
-        if not is_prime(p):
-            raise ValueError(f"p must be prime, got {p}")
         order = p ** degree
         self.p = p
         self.m = m

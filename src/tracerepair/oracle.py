@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from . import linalg
 from .cosets import FilteredCosets, enumerate_cosets, filter_cosets
-from .field import FieldTower, construct_field
+from .field import FieldTower, check_order_limit, construct_field
 from .repair import RepairPlan, build_plan, repair_pipeline
 from .rs import encode, erase
 
@@ -165,8 +165,6 @@ def vander_blocks(ctx: FieldTower, fc: FilteredCosets) -> list[list[int]]:
 
 def verify_factorization(plan: RepairPlan) -> bool:
     """Check T restricted to the plan's window equals V E, entry by entry."""
-    if plan.dim == 0:
-        return True
     ctx = plan.ctx
     prod = linalg.mat_mul(ctx, vander_blocks(ctx, plan.cosets), plan.window_powers)
     window = plan.omitted
@@ -185,9 +183,7 @@ def equivalence_report(fields=VERIFICATION_FIELDS, perturb: int = 0) -> list[dic
     """
     fields = list(fields)
     for p, m, t in fields:
-        e = m * t
-        if e > VERIFY_LIMIT.bit_length() or p ** e > VERIFY_LIMIT:
-            raise ValueError(f"order {p}^{e} exceeds verify limit {VERIFY_LIMIT}")
+        check_order_limit(p, m * t, VERIFY_LIMIT, "verify")
     rows = []
     for p, m, t in fields:
         ctx = construct_field(p, m, t)

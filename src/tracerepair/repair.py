@@ -1,11 +1,16 @@
-"""Single-erasure repair of the value at 0 from base-field traces.
+"""Single-erasure repair of any position from base-field traces.
 
-Every helper normally ships one B-symbol, the trace of its value scaled
-by the inverse evaluation point.  The selected cyclotomic cosets give a
-set A of exponents, and for each a in A the codeword satisfies the
-check
+The erased position holds f(x0).  Every helper at x0 + a, a != 0,
+normally ships one B-symbol, tau_a = trace(f(x0 + a) / a), and the
+Guruswami-Wootters recombination f(x0) = -sum over a of a * tau_a
+rebuilds the erased value.  Nothing depends on where x0 lies: the
+helper traces of f at x0 are those of g(x) = f(x0 + x) at 0, and g has
+the degree of f, so one plan serves every position.
 
-    sum over e of omega^(a e) * tau_e = 0,   tau_e = trace(f(omega^e) / omega^e).
+The selected cyclotomic cosets give a set A of exponents, and for each
+a in A the codeword satisfies the check
+
+    sum over e of omega^(a e) * tau_e = 0,   tau_e = tau_(omega^e).
 
 A window of d = |A| consecutive powers of the primitive element can
 therefore have its traces reconstructed from everyone else instead of
@@ -16,8 +21,7 @@ right-hand side is folded by Frobenius: every downloaded tau_e lies in
 B, so the check sum at a q is the q-th power of the one at a, and each
 selected coset costs one evaluation at its first exponent.  A download
 outside B is refused, since the fold would turn it into a wrong value.
-The remaining n - 1 - d traces are finished into the erased value by
-the Guruswami-Wootters recombination f(0) = -sum over a of a * tau_a.
+With d = 0 the window, E and the substitutions are empty.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ class RepairPlan:
     omitted_exps: tuple[int, ...]               # window order, may wrap
     helper_exps: tuple[int, ...]                # ascending
     window_powers: tuple[tuple[int, ...], ...]  # E: rows omega^(a (r + c)), a in A
-    _e_lu: object = dc_field(repr=False, default=None)
+    _e_lu: object = dc_field(repr=False)
 
     @property
     def omitted(self) -> tuple[int, ...]:
@@ -74,10 +78,6 @@ def build_plan(ctx: FieldTower, fc: FilteredCosets, r: int) -> RepairPlan:
     omitted_exps = tuple((r + c) % mod for c in range(d))
     window = set(omitted_exps)
     helper_exps = tuple(e for e in range(mod) if e not in window)
-
-    if d == 0:
-        return RepairPlan(ctx, fc, k, r, 0, omitted_exps, helper_exps, ())
-
     window_rows = tuple(
         tuple(ctx.exp(a * (r + c) % mod) for c in range(d))
         for coset in fc.selected for a in coset.elements
@@ -100,8 +100,6 @@ def recover_missing_traces(plan: RepairPlan, downloaded) -> dict:
     for e, a in zip(plan.helper_exps, helpers):
         if not ctx.in_base_field(downloaded[a]):
             raise ValueError(f"trace from helper w^{e} is not in the base field")
-    if plan.dim == 0:
-        return {}
     mod = ctx.order - 1
     logs = []
     for e, a in zip(plan.helper_exps, helpers):
@@ -130,10 +128,10 @@ def recover_missing_traces(plan: RepairPlan, downloaded) -> dict:
 
 
 def gw_finish(ctx: FieldTower, traces, k: int) -> int:
-    """Recombine a full trace vector {point: trace} into the erased value f(0).
+    """Recombine a full trace vector {a: trace(f(x0 + a) / a)} into f(x0).
 
-    Expanding f(0) over the dual basis and exchanging the sums gives
-    f(0) = -sum over a of a * trace(f(a) / a).
+    Expanding f(x0) over the dual basis and exchanging the sums gives
+    f(x0) = -sum over a of a * trace(f(x0 + a) / a).
     """
     if k > gw_max_k(ctx):
         raise ValueError(f"k must be at most {gw_max_k(ctx)} for trace repair, got {k}")
@@ -156,56 +154,53 @@ class BandwidthReport:
 
 def repair_pipeline(ctx: FieldTower, k: int, r: int, cw: Codeword,
                     plan: RepairPlan | None = None) -> tuple[int, BandwidthReport]:
-    """Repair the erased value at 0, touching only helper traces.
+    """Repair the one erased position of cw, touching only helper traces.
 
+    With x0 the erased point, helper a != 0 is read in place at x0 + a
+    and ships trace(f(x0 + a) / a); the window's traces are recovered
+    from the others, and f(x0) = -sum over a of a * trace(f(x0 + a) / a).
     Returns the recovered value and the download accounting.  A prebuilt
     plan for the same (k, r) may be passed to amortise setup across many
-    erasures.
+    erasures, at any positions.
     """
     if cw.ctx is not ctx:
         raise ValueError("codeword built over a different field")
     if cw.k != k:
         raise ValueError(f"codeword has message length {cw.k}, not {k}")
-    if cw.erased != {0}:
-        raise ValueError("exactly position 0 must be erased")
+    if len(cw.erased) != 1:
+        raise ValueError("exactly one position must be erased")
     if plan is None:
         cc = enumerate_cosets(ctx.q, ctx.t)
         plan = build_plan(ctx, filter_cosets(cc, k), r)
     elif plan.k != k or plan.r != r:
         raise ValueError("plan does not match requested (k, r)")
 
-    mul, inv, trace = ctx.mul, ctx.inv, ctx.trace
+    (position,) = cw.erased
+    x0 = position_point(ctx, position)
+    add, mul, inv, log, trace = ctx.add, ctx.mul, ctx.inv, ctx.log, ctx.trace
     entries = {}
     for e in plan.helper_exps:
         a = ctx.exp(e)
-        entries[a] = trace(mul(cw.value_at(e + 1), inv(a)))
+        x = add(x0, a)
+        entries[a] = trace(mul(cw.value_at(log(x) + 1 if x else 0), inv(a)))
 
     entries.update(recover_missing_traces(plan, entries))
-    f0 = gw_finish(ctx, entries, k)
+    value = gw_finish(ctx, entries, k)
     nsym = len(plan.helper_exps)
     report = BandwidthReport(nsym, nsym, nsym * ctx.bits_per_symbol)
-    return f0, report
+    return value, report
 
 
 def repair_at(ctx: FieldTower, k: int, r: int, cw: Codeword, position: int,
               plan: RepairPlan | None = None) -> tuple[int, BandwidthReport]:
-    """Repair an arbitrary erased position by shifting it onto 0.
+    """Repair cw at position, which must be its one erasure.
 
-    Substituting x + a for x re-indexes the codeword so the erased point
-    lands at 0; the plan itself is unchanged.
+    The value is f(x0) = -sum over a of a * trace(f(x0 + a) / a) at the
+    position's point x0, as computed by repair_pipeline.
     """
     if cw.erased != {position}:
         raise ValueError(f"exactly position {position} must be erased")
-    if position == 0:
-        return repair_pipeline(ctx, k, r, cw, plan)
-    a = position_point(ctx, position)
-    values = []
-    for j in range(ctx.order):
-        b = ctx.add(position_point(ctx, j), a)
-        src = 0 if b == 0 else ctx.log(b) + 1
-        values.append(0 if src == position else cw.values[src])
-    shifted = Codeword(ctx, cw.k, tuple(values), frozenset({0}))
-    return repair_pipeline(ctx, k, r, shifted, plan)
+    return repair_pipeline(ctx, k, r, cw, plan)
 
 
 @dataclass(frozen=True)

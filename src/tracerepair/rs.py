@@ -2,8 +2,7 @@
 
 The evaluation set is all of F in a fixed order: position 0 holds the
 value at the field element 0, position j >= 1 holds the value at
-omega^(j-1).  Erasure repair throughout the package targets position 0;
-other positions are handled by re-indexing, see repair.repair_at.
+omega^(j-1).
 """
 
 from __future__ import annotations

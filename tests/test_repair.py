@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from tracerepair import linalg
+from tracerepair import linalg, repair
 from tracerepair.cosets import enumerate_cosets, filter_cosets
 from tracerepair.field import construct_field
 from tracerepair.oracle import (rank_over_base, trace_matrix, trace_poly,
@@ -183,6 +183,8 @@ def test_degenerate_plan_no_window(gf4) -> None:
     assert plan.omitted == ()
     assert len(plan.helper_exps) == 3
     assert verify_factorization(plan)
+    truth = _direct_traces(gf4, encode(gf4, (3, 2)))
+    assert recover_missing_traces(plan, truth) == {}
 
 
 def test_build_plan_validates(gf9) -> None:
@@ -413,8 +415,10 @@ def test_pipeline_with_prebuilt_plan(gf9) -> None:
 
 def test_pipeline_validates(gf9, gf4) -> None:
     cw = encode(gf9, (1, 2, 3))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="exactly one position"):
         repair_pipeline(gf9, 3, 0, cw)  # nothing erased
+    with pytest.raises(ValueError, match="exactly one position"):
+        repair_pipeline(gf9, 3, 0, erase(erase(cw, 0), 4))
     with pytest.raises(ValueError):
         repair_pipeline(gf9, 2, 0, erase(cw, 0))  # wrong k
     with pytest.raises(ValueError):
@@ -422,6 +426,26 @@ def test_pipeline_validates(gf9, gf4) -> None:
     other = encode(gf4, (1, 2))
     with pytest.raises(ValueError):
         repair_pipeline(gf9, 2, 0, erase(other, 0))
+
+
+def test_pipeline_repairs_any_single_erasure(gf9, gf64_over_gf8) -> None:
+    rng = random.Random(43)
+    for ctx, k in ((gf9, 3), (gf64_over_gf8, 10)):
+        plan = _plan(ctx, k, 4)
+        cw = encode(ctx, tuple(rng.randrange(ctx.order) for _ in range(k)))
+        for pos in range(1, ctx.order):
+            got, _ = repair_pipeline(ctx, k, 4, erase(cw, pos), plan=plan)
+            assert got == cw.values[pos]
+
+
+def test_repair_at_builds_no_codeword(gf9, monkeypatch) -> None:
+    def no_codeword(*args, **kwargs):
+        raise AssertionError("repair built a codeword")
+
+    monkeypatch.setattr(repair, "Codeword", no_codeword)
+    cw = encode(gf9, (2, 7, 1))
+    for pos in (1, 5, 8):
+        assert repair_at(gf9, 3, 1, erase(cw, pos), pos)[0] == cw.values[pos]
 
 
 def test_repair_at_shifted_position(gf9) -> None:
