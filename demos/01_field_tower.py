@@ -1,6 +1,6 @@
 """
-A tower of finite fields: arithmetic, traces, and the dual basis
-================================================================
+A tower of finite fields: arithmetic, traces, and the Frobenius map
+===================================================================
 
 Everything downstream (cosets, repair plans, bandwidth accounting)
 rests on one object: a field F = GF(q^t) sitting above its subfield
@@ -54,18 +54,3 @@ print()
 fixed = sorted(x for x in ctx.elements() if ctx.frobenius(x) == x)
 print(f"Frobenius fixed points: {fixed}")
 print(f"base_field_elements():  {sorted(ctx.base_field_elements())}")
-print()
-
-# The power basis (1, w, ..., w^(t-1)) has a dual basis (v_0, ..,
-# v_(t-1)) with trace(u_i * v_j) = [i == j].  Coordinates of any x
-# over B are then plain traces: c_i = trace(v_i * x).
-print(f"power basis: {ctx.power_basis}")
-print(f"dual basis:  {ctx.dual_basis}")
-for i, u in enumerate(ctx.power_basis):
-    row = [ctx.trace(ctx.mul(u, v)) for v in ctx.dual_basis]
-    print(f"  trace(u_{i} * v_j) = {row}")
-
-x = 7
-coords = ctx.base_coords(x)
-print(f"coords of {x} over B: {coords}")
-print(f"rebuilt: {ctx.from_base_coords(coords)}")

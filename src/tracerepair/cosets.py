@@ -34,14 +34,10 @@ class CosetCollection:
     q: int
     t: int
     cosets: tuple[Coset, ...]
-    index_by_element: tuple[int, ...]
 
     @property
     def modulus(self) -> int:
         return self.q ** self.t - 1
-
-    def coset_of(self, e: int) -> Coset:
-        return self.cosets[self.index_by_element[e % self.modulus]]
 
 
 @dataclass(frozen=True)
@@ -68,21 +64,20 @@ def enumerate_cosets(q: int, t: int) -> CosetCollection:
     if not _is_prime_power(q):
         raise ValueError(f"q must be a prime power, got {q}")
     mod = q ** t - 1
-    index = [-1] * mod
+    visited = [False] * mod
     cosets = []
     for a in range(mod):
-        if index[a] >= 0:
+        if visited[a]:
             continue
         orbit = [a]
         e = a * q % mod
         while e != a:
             orbit.append(e)
             e = e * q % mod
-        idx = len(cosets)
         for e in orbit:
-            index[e] = idx
+            visited[e] = True
         cosets.append(Coset(a, tuple(orbit)))
-    return CosetCollection(q, t, tuple(cosets), tuple(index))
+    return CosetCollection(q, t, tuple(cosets))
 
 
 def filter_cosets(cc: CosetCollection, k: int) -> FilteredCosets:

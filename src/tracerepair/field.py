@@ -37,8 +37,6 @@ from __future__ import annotations
 from functools import reduce
 from operator import xor
 
-from . import linalg
-
 # Hard cap on table size; q^t above this is refused at construction.
 TABLE_LIMIT = 1 << 20
 
@@ -153,8 +151,8 @@ class FieldTower:
     """GF(p^(m*t)) with its base subfield GF(p^m) carried along.
 
     Elements are plain ints.  All public operations (add, mul, trace,
-    base_coords, ...) take and return such ints; callers never touch the
-    polynomial representation.
+    ...) take and return such ints; callers never touch the polynomial
+    representation.
     """
 
     def __init__(self, p: int, m: int, t: int):
@@ -174,9 +172,6 @@ class FieldTower:
         # stride of B inside the multiplicative group of F
         self.subfield_stride = (order - 1) // (self.q - 1)
         self.bits_per_symbol = (self.q - 1).bit_length()
-
-        self.power_basis = tuple(self.exp(i) for i in range(t))
-        self.dual_basis = self._compute_dual_basis()
 
     # -- construction ------------------------------------------------
 
@@ -228,21 +223,6 @@ class FieldTower:
             zech = [log[v - v % p + (v + 1) % p] for v in antilog]
             self._zech = zech + zech
             self._log_minus_one = (order - 1) // 2
-
-    def _compute_dual_basis(self) -> tuple[int, ...]:
-        # Gram matrix of the power basis under the trace form, inverted
-        # exactly; entries stay inside B throughout.
-        t = self.t
-        u = self.power_basis
-        gram = [[self.trace(self.mul(u[i], u[j])) for j in range(t)] for i in range(t)]
-        ginv = linalg.invert(self, gram)
-        dual = []
-        for j in range(t):
-            v = 0
-            for l in range(t):
-                v = self.add(v, self.mul(ginv[l][j], u[l]))
-            dual.append(v)
-        return tuple(dual)
 
     # -- arithmetic --------------------------------------------------
 
@@ -367,19 +347,6 @@ class FieldTower:
     def base_field_elements(self) -> list[int]:
         s = self.subfield_stride
         return [0] + [self._antilog[j * s] for j in range(self.q - 1)]
-
-    def base_coords(self, x: int) -> tuple[int, ...]:
-        """Coordinates of x over B in the power basis.
-
-        Returns t elements of B with x == sum(c_l * power_basis[l]).
-        """
-        return tuple(self.trace(self.mul(v, x)) for v in self.dual_basis)
-
-    def from_base_coords(self, coords) -> int:
-        x = 0
-        for c, u in zip(coords, self.power_basis):
-            x = self.add(x, self.mul(c, u))
-        return x
 
     def elements(self) -> range:
         return range(self.order)

@@ -1,12 +1,14 @@
 """Exact dense linear algebra over a finite field context.
 
 Matrices are lists of row lists of field elements (ints).  Every routine
-takes the field as its first argument.  The LU factorization runs on
-log-domain rows through the field's vector kernels (neg_logs, axpy, dot);
-rank, mat_vec and mat_mul stay scalar add/mul/inv code, so the oracle
-that checks the repair path through them shares no kernel with it.
-Every routine serves F and, unchanged, B-valued matrices, since B is
-closed under the field operations.
+takes the field as its first argument.  The LU factorization serves the
+repair plan: build_plan factors the window block once and
+recover_missing_traces solves with it once per repair.  It runs on
+log-domain rows through the field's vector kernels (neg_logs, axpy,
+dot); rank, mat_vec and mat_mul stay scalar add/mul/inv code, so the
+oracle that checks the repair path through them shares no kernel with
+it.  Every routine serves F and, unchanged, B-valued matrices, since B
+is closed under the field operations.
 """
 
 from __future__ import annotations
@@ -103,21 +105,6 @@ class LUFactorization:
             x.append(mul(add(y[i], dot(a[i][:i:-1], x)), self._inv_diag[i]))
         x.reverse()
         return x
-
-
-def solve(ctx, mat, rhs) -> list:
-    return LUFactorization(ctx, mat).solve(rhs)
-
-
-def invert(ctx, mat) -> list:
-    n = len(mat)
-    lu = LUFactorization(ctx, mat)
-    cols = []
-    for j in range(n):
-        e = [0] * n
-        e[j] = 1
-        cols.append(lu.solve(e))
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 
 def rank(ctx, mat) -> int:

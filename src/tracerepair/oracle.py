@@ -3,9 +3,10 @@
 The repair-space dimension is recomputed here straight from its
 definition: a vector supported on the nonzero points with entries
 b_a / a, b_a in B, that annihilates every monomial codeword of degree
-below k.  Expanding each F-linear condition into t B-linear ones gives a
-(k t) x (n - 1) system over B whose nullity must match the coset count.
-Nothing from cosets.py or repair.py is consulted on the way.
+below k.  Pairing each F-linear condition with omega^l, l < t, under
+the trace form, which is nondegenerate, expands it into t B-linear ones
+and gives a (k t) x (n - 1) system over B whose nullity must match the
+coset count.  Nothing from cosets.py or repair.py is consulted on the way.
 
 The paper's B-valued check vectors live here too, as the reference for
 the repair plan.  Each selected coset with s exponents gives s trace
@@ -13,6 +14,7 @@ polynomials, sum over j of c^(q^j) x^(a q^j), one per shift power c.
 Stacked, their values at the nonzero points form T = V M, where M holds
 the monomial rows omega^(a e) for a in A and V is block-diagonal and
 invertible.  The plan solves with M's window block E alone;
+window_block rebuilds E from the plan's window and cosets, and
 verify_factorization checks T restricted to the window equals V E.
 """
 
@@ -40,6 +42,7 @@ VERIFICATION_FIELDS = (
 )
 
 _BRUTE_LIMIT = 1 << 12
+_EXHAUSTIVE_LIMIT = 20000
 
 # Largest tower order equivalence_report accepts.  It runs brute_dim for
 # every k, and that time grows like n^4: on a 2-vCPU host `tracerepair
@@ -49,19 +52,19 @@ VERIFY_LIMIT = 81
 
 
 def brute_dim(ctx: FieldTower, k: int) -> int:
-    """Nullity over B of the dual-membership system, from first principles."""
+    """Nullity over B of the dual-membership system, from first principles.
+
+    Row (j, l) pairs condition j < k, sum_a (b_a / a) a^j = 0, with omega^l
+    under the trace: its entry at a is trace(omega^l a^(j-1)).
+    """
     n = ctx.order
     if n > _BRUTE_LIMIT:
         raise ValueError(f"field of order {n} too large for brute force")
     if not 1 <= k <= n - 1:
         raise ValueError(f"k must be in [1, {n - 1}], got {k}")
     mod = n - 1
-    rows = []
-    for j in range(k):
-        # condition sum_a (b_a / a) a^j = 0, i.e. coefficients a^(j-1)
-        coords = [ctx.base_coords(ctx.exp(e * (j - 1) % mod)) for e in range(mod)]
-        for l in range(ctx.t):
-            rows.append([coords[e][l] for e in range(mod)])
+    rows = [[ctx.trace(ctx.exp(l + e * (j - 1))) for e in range(mod)]
+            for j in range(k) for l in range(ctx.t)]
     return mod - linalg.rank(ctx, rows)
 
 
@@ -75,16 +78,16 @@ def rank_over_base(ctx: FieldTower, mat) -> int:
 
 
 def brute_repair_check(ctx: FieldTower, k: int, r: int, trials: int | None = None,
-                       seed: int = 0, exhaustive_limit: int = 20000) -> bool:
+                       seed: int = 0) -> bool:
     """Encode, erase, repair, compare; over all messages or a random sample.
 
     With trials=None the message space is swept exhaustively when it has
-    at most exhaustive_limit elements, else 1000 seeded random messages.
+    at most _EXHAUSTIVE_LIMIT elements, else 1000 seeded random messages.
     """
     n = ctx.order
     cc = enumerate_cosets(ctx.q, ctx.t)
     plan = build_plan(ctx, filter_cosets(cc, k), r)
-    if trials is None and n ** k <= exhaustive_limit:
+    if trials is None and n ** k <= _EXHAUSTIVE_LIMIT:
         messages = itertools.product(range(n), repeat=k)
     else:
         rng = random.Random(seed)
@@ -163,10 +166,17 @@ def vander_blocks(ctx: FieldTower, fc: FilteredCosets) -> list[list[int]]:
     return rows
 
 
+def window_block(plan: RepairPlan) -> list[list[int]]:
+    """E: the monomial rows omega^(a e) over the plan's window exponents e, a in A."""
+    ctx = plan.ctx
+    return [[ctx.exp(a * e) for e in plan.omitted_exps]
+            for coset in plan.cosets.selected for a in coset.elements]
+
+
 def verify_factorization(plan: RepairPlan) -> bool:
     """Check T restricted to the plan's window equals V E, entry by entry."""
     ctx = plan.ctx
-    prod = linalg.mat_mul(ctx, vander_blocks(ctx, plan.cosets), plan.window_powers)
+    prod = linalg.mat_mul(ctx, vander_blocks(ctx, plan.cosets), window_block(plan))
     window = plan.omitted
     for poly, prow in zip(check_polys(ctx, plan.cosets), prod):
         if [poly.eval(ctx, x) for x in window] != prow:

@@ -43,9 +43,8 @@ class RepairPlan:
     k: int
     r: int
     dim: int
-    omitted_exps: tuple[int, ...]               # window order, may wrap
-    helper_exps: tuple[int, ...]                # ascending
-    window_powers: tuple[tuple[int, ...], ...]  # E: rows omega^(a (r + c)), a in A
+    omitted_exps: tuple[int, ...]   # window order, may wrap
+    helper_exps: tuple[int, ...]    # ascending
     _e_lu: object = dc_field(repr=False)
 
     @property
@@ -78,27 +77,27 @@ def build_plan(ctx: FieldTower, fc: FilteredCosets, r: int) -> RepairPlan:
     omitted_exps = tuple((r + c) % mod for c in range(d))
     window = set(omitted_exps)
     helper_exps = tuple(e for e in range(mod) if e not in window)
-    window_rows = tuple(
-        tuple(ctx.exp(a * (r + c) % mod) for c in range(d))
-        for coset in fc.selected for a in coset.elements
-    )
-    return RepairPlan(ctx, fc, k, r, d, omitted_exps, helper_exps, window_rows,
-                      linalg.LUFactorization(ctx, window_rows))
+    # E: rows omega^(a e) over the window exponents e, a in A
+    window_block = [[ctx.exp(a * e) for e in omitted_exps]
+                    for coset in fc.selected for a in coset.elements]
+    return RepairPlan(ctx, fc, k, r, d, omitted_exps, helper_exps,
+                      linalg.LUFactorization(ctx, window_block))
 
 
 def recover_missing_traces(plan: RepairPlan, downloaded) -> dict:
     """Reconstruct the window traces from the downloaded ones.
 
     Returns {point: trace} for the d window points.  A downloaded trace
-    outside B raises ValueError naming its helper: the Frobenius fold
-    below holds only for B-valued traces.
+    outside B, or no field element at all, raises ValueError naming its
+    helper: the Frobenius fold below holds only for B-valued traces.
     """
     ctx = plan.ctx
     helpers = plan.helpers
     if set(downloaded) != set(helpers):
         raise ValueError("downloaded traces must cover exactly the helper set")
     for e, a in zip(plan.helper_exps, helpers):
-        if not ctx.in_base_field(downloaded[a]):
+        v = downloaded[a]
+        if not (0 <= v < ctx.order and ctx.in_base_field(v)):
             raise ValueError(f"trace from helper w^{e} is not in the base field")
     mod = ctx.order - 1
     logs = []
@@ -135,9 +134,13 @@ def gw_finish(ctx: FieldTower, traces, k: int) -> int:
     """
     if k > gw_max_k(ctx):
         raise ValueError(f"k must be at most {gw_max_k(ctx)} for trace repair, got {k}")
+    n = ctx.order
     entries = dict(traces)
-    if len(entries) != ctx.order - 1 or 0 in entries:
+    # compared before any table lookup, which would fail or wrap outside [0, n)
+    if len(entries) != n - 1 or not all(0 < a < n for a in entries):
         raise ValueError("need traces for every nonzero point")
+    if not all(0 <= v < n for v in entries.values()):
+        raise ValueError("traces must be field elements")
     add, mul = ctx.add, ctx.mul
     acc = 0
     for a, fa in entries.items():
@@ -172,6 +175,8 @@ def repair_pipeline(ctx: FieldTower, k: int, r: int, cw: Codeword,
     if plan is None:
         cc = enumerate_cosets(ctx.q, ctx.t)
         plan = build_plan(ctx, filter_cosets(cc, k), r)
+    elif plan.ctx is not ctx:
+        raise ValueError("plan built over a different field")
     elif plan.k != k or plan.r != r:
         raise ValueError("plan does not match requested (k, r)")
 

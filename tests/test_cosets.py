@@ -46,14 +46,6 @@ def test_partition_properties(q, t) -> None:
     assert reps == sorted(reps)
 
 
-@pytest.mark.parametrize("q,t", SEVEN_FIELDS)
-def test_coset_of_lookup(q, t) -> None:
-    cc = enumerate_cosets(q, t)
-    for c in cc.cosets:
-        for e in c.elements:
-            assert cc.coset_of(e) is c
-
-
 def test_gf9_filter_golden_k3() -> None:
     cc = enumerate_cosets(3, 2)
     fc = filter_cosets(cc, 3)

@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import ast
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import tracerepair
+from tracerepair import linalg
 from tracerepair.field import FieldTower, construct_field
+from tracerepair.oracle import VERIFICATION_FIELDS
 
 
 def test_basic_parameters(gf4, gf9, gf64_over_gf8) -> None:
@@ -192,28 +197,23 @@ def test_trivial_tower_t1() -> None:
     for x in ctx.elements():
         assert ctx.trace(x) == x
         assert ctx.in_base_field(x)
-    assert ctx.dual_basis == (1,)
 
 
-def test_dual_basis_pairing(gf4, gf9, gf8, gf16_over_gf4, gf64_over_gf8) -> None:
-    for ctx in (gf4, gf9, gf8, gf16_over_gf4, gf64_over_gf8):
-        t = ctx.t
-        for i in range(t):
-            for j in range(t):
-                got = ctx.trace(ctx.mul(ctx.power_basis[i], ctx.dual_basis[j]))
-                assert got == (1 if i == j else 0)
+def test_field_and_linalg_are_leaf_modules(monkeypatch) -> None:
+    # neither module imports another module of the package ...
+    src = Path(tracerepair.__file__).resolve().parent
+    for name in ("field.py", "linalg.py"):
+        for node in ast.walk(ast.parse((src / name).read_text())):
+            if isinstance(node, ast.ImportFrom):
+                assert node.level == 0, name
+                assert not (node.module or "").startswith("tracerepair"), name
+            elif isinstance(node, ast.Import):
+                assert not any(a.name.startswith("tracerepair") for a in node.names), name
 
+    # ... and building a tower runs no linear algebra
+    def no_lu(self, *args):
+        raise AssertionError("LU factorization during field construction")
 
-def test_base_coords_roundtrip(gf9, gf64_over_gf8) -> None:
-    for ctx in (gf9, gf64_over_gf8):
-        for x in ctx.elements():
-            coords = ctx.base_coords(x)
-            assert len(coords) == ctx.t
-            assert all(ctx.in_base_field(c) for c in coords)
-            assert ctx.from_base_coords(coords) == x
-
-
-def test_base_coords_of_base_elements(gf9) -> None:
-    # a base-field element is its own first coordinate
-    for b in gf9.base_field_elements():
-        assert gf9.base_coords(b) == (b, 0)
+    monkeypatch.setattr(linalg.LUFactorization, "__init__", no_lu)
+    for p, m, t in VERIFICATION_FIELDS:
+        assert construct_field(p, m, t).order == p ** (m * t)

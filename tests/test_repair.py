@@ -11,7 +11,8 @@ from tracerepair import linalg, repair
 from tracerepair.cosets import enumerate_cosets, filter_cosets
 from tracerepair.field import construct_field
 from tracerepair.oracle import (rank_over_base, trace_matrix, trace_poly,
-                                vander_blocks, verify_factorization)
+                                vander_blocks, verify_factorization,
+                                window_block)
 from tracerepair.repair import (bandwidth_table, build_plan, gw_finish,
                                 gw_max_k, plan_from_dict, plan_to_dict,
                                 recover_missing_traces, repair_at,
@@ -148,11 +149,11 @@ def test_plan_shape_gf9_k3(gf9) -> None:
 def test_plan_factor_matrices_gf9_k3(gf9) -> None:
     w = gf9.exp
     plan = _plan(gf9, 3, 0)
-    assert plan.window_powers == (
-        (1, w(2), w(4)),
-        (1, w(6), w(12)),
-        (1, w(4), w(8)),
-    )
+    assert window_block(plan) == [
+        [1, w(2), w(4)],
+        [1, w(6), w(12)],
+        [1, w(4), w(8)],
+    ]
 
 
 def test_window_wraps_around(gf9) -> None:
@@ -174,7 +175,7 @@ def test_factor_matrices_invertible(gf9, gf64_over_gf8) -> None:
             plan = _plan(ctx, k, 2)
             if plan.dim:
                 assert linalg.rank(ctx, vander_blocks(ctx, plan.cosets)) == plan.dim
-                assert linalg.rank(ctx, [list(r) for r in plan.window_powers]) == plan.dim
+                assert linalg.rank(ctx, window_block(plan)) == plan.dim
 
 
 def test_degenerate_plan_no_window(gf4) -> None:
@@ -363,6 +364,21 @@ def test_gw_finish_random_large_k(gf9, gf64_over_gf8) -> None:
                 assert gw_finish(ctx, _direct_traces(ctx, cw), k) == cw.values[0]
 
 
+@pytest.mark.parametrize("bad", [9, -1, 10 ** 6])
+def test_out_of_range_traces_refused(gf9, bad) -> None:
+    plan = _plan(gf9, 3, 0)
+    truth = _direct_traces(gf9, encode(gf9, (5, 2, 7)))
+    a = plan.helpers[0]
+    as_value = {**truth, a: bad}
+    as_key = {(bad if x == a else x): v for x, v in truth.items()}
+    for traces in (as_value, as_key):
+        with pytest.raises(ValueError):
+            gw_finish(gf9, traces, 3)
+        downloaded = {x: v for x, v in traces.items() if x not in plan.omitted}
+        with pytest.raises(ValueError):
+            recover_missing_traces(plan, downloaded)
+
+
 def test_gw_finish_validates(gf9) -> None:
     cw = encode(gf9, (1, 2))
     truth = _direct_traces(gf9, cw)
@@ -426,6 +442,17 @@ def test_pipeline_validates(gf9, gf4) -> None:
     other = encode(gf4, (1, 2))
     with pytest.raises(ValueError):
         repair_pipeline(gf9, 2, 0, erase(other, 0))
+
+
+def test_pipeline_refuses_plan_over_another_field(gf16_over_gf2, gf16_over_gf4,
+                                                   gf9) -> None:
+    for k in (1, 2, 3, 4):
+        cw = erase(encode(gf16_over_gf4, tuple(range(1, k + 1))), 0)
+        with pytest.raises(ValueError, match="plan built over a different field"):
+            repair_pipeline(gf16_over_gf4, k, 3, cw, plan=_plan(gf16_over_gf2, k, 3))
+    cw = erase(encode(gf9, (1, 2, 3)), 0)
+    with pytest.raises(ValueError, match="plan built over a different field"):
+        repair_pipeline(gf9, 3, 3, cw, plan=_plan(gf16_over_gf4, 3, 3))
 
 
 def test_pipeline_repairs_any_single_erasure(gf9, gf64_over_gf8) -> None:
