@@ -46,11 +46,14 @@ for x in range(ctx.order):
     assert ctx.in_base_field(tr)
     print(f"  trace({x}) = {tr}")
 from collections import Counter
-fibers = Counter(ctx.trace(x) for x in ctx.elements())
+fibers = Counter(ctx.trace(x) for x in range(ctx.order))
 print(f"fiber sizes: {dict(sorted(fibers.items()))}")
 print()
 
-# B itself is exactly the set of Frobenius fixed points.
-fixed = sorted(x for x in ctx.elements() if ctx.frobenius(x) == x)
+# B itself is exactly the set of Frobenius fixed points: 0 and the
+# powers of w^s, s = (q^t - 1)/(q - 1).
+fixed = sorted(x for x in range(ctx.order) if ctx.frobenius(x) == x)
+s = (ctx.order - 1) // (ctx.q - 1)
+powers = sorted([0] + [ctx.exp(j * s) for j in range(ctx.q - 1)])
 print(f"Frobenius fixed points: {fixed}")
-print(f"base_field_elements():  {sorted(ctx.base_field_elements())}")
+print(f"0 and powers of w^{s}:   {powers}")

@@ -110,8 +110,7 @@ def cmd_verify(args, out) -> int:
         fields = [(args.p, args.m, args.t)]
     else:
         fields = list(VERIFICATION_FIELDS)
-    perturb = 1 if args.inject_fault else 0
-    rows = equivalence_report(fields, perturb=perturb)
+    rows = equivalence_report(fields)
     ok = all(r["ok"] for r in rows)
 
     checks = []
@@ -183,7 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
     _field_args(sp, required=False)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--format", choices=("text", "json"), default="text")
-    sp.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
     sp.set_defaults(func=cmd_verify)
     return ap
 

@@ -18,8 +18,9 @@ the antilog table because adding 1 changes only the lowest base-p digit;
 negation multiplies by -1 = w^((p^(m*t) - 1)/2).  The integer encoding
 is the same for every p, so results match digit-wise arithmetic exactly.
 
-The vector kernels (neg_logs, sum_powers, axpy, dot) serve the LU and
-the repair check sums.  They work on discrete logs straight from the
+The vector kernels (neg_logs, sum_powers, axpy, dot) serve the LU, and
+sum_powers alone serves encoding, the repair check sums and the
+Guruswami-Wootters finish.  They work on discrete logs straight from the
 tables, with no method call per element: a sum of powers of w is an
 XOR-reduce for p = 2 and a Zech chain on the log of the running sum for
 odd p.  A row of operands is stored as log(-x) per entry, -1 for zero;
@@ -168,9 +169,6 @@ class FieldTower:
         self.modulus = _find_irreducible(p, degree)
 
         self._build_tables()
-
-        # stride of B inside the multiplicative group of F
-        self.subfield_stride = (order - 1) // (self.q - 1)
         self.bits_per_symbol = (self.q - 1).bit_length()
 
     # -- construction ------------------------------------------------
@@ -343,16 +341,6 @@ class FieldTower:
 
     def in_base_field(self, x: int) -> bool:
         return self.frobenius(x) == x
-
-    def base_field_elements(self) -> list[int]:
-        s = self.subfield_stride
-        return [0] + [self._antilog[j * s] for j in range(self.q - 1)]
-
-    def elements(self) -> range:
-        return range(self.order)
-
-    def nonzero_elements(self) -> range:
-        return range(1, self.order)
 
     def __repr__(self):
         return f"FieldTower(p={self.p}, m={self.m}, t={self.t})"

@@ -5,10 +5,10 @@ takes the field as its first argument.  The LU factorization serves the
 repair plan: build_plan factors the window block once and
 recover_missing_traces solves with it once per repair.  It runs on
 log-domain rows through the field's vector kernels (neg_logs, axpy,
-dot); rank, mat_vec and mat_mul stay scalar add/mul/inv code, so the
-oracle that checks the repair path through them shares no kernel with
-it.  Every routine serves F and, unchanged, B-valued matrices, since B
-is closed under the field operations.
+dot); rank and mat_mul stay scalar add/mul/inv code, so the oracle
+that checks the repair path through them shares no kernel with it.
+Every routine serves F and, unchanged, B-valued matrices, since B is
+closed under the field operations.
 """
 
 from __future__ import annotations
@@ -16,18 +16,6 @@ from __future__ import annotations
 
 class SingularMatrixError(ValueError):
     pass
-
-
-def mat_vec(ctx, mat, vec) -> list:
-    add, mul = ctx.add, ctx.mul
-    out = []
-    for row in mat:
-        acc = 0
-        for a, b in zip(row, vec):
-            if a and b:
-                acc = add(acc, mul(a, b))
-        out.append(acc)
-    return out
 
 
 def mat_mul(ctx, a, b) -> list:

@@ -69,7 +69,9 @@ def brute_dim(ctx: FieldTower, k: int) -> int:
 
 
 def rank_over_base(ctx: FieldTower, mat) -> int:
-    """Rank of a matrix whose entries must all lie in B."""
+    """Rank of a matrix whose rows share one length and whose entries lie in B."""
+    if len({len(row) for row in mat}) > 1:
+        raise ValueError("matrix rows must all have the same length")
     for row in mat:
         for x in row:
             if not ctx.in_base_field(x):
@@ -184,12 +186,11 @@ def verify_factorization(plan: RepairPlan) -> bool:
     return True
 
 
-def equivalence_report(fields=VERIFICATION_FIELDS, perturb: int = 0) -> list[dict]:
+def equivalence_report(fields=VERIFICATION_FIELDS) -> list[dict]:
     """Formula vs brute-force dimension for every k of every field.
 
-    perturb shifts the formula value and exists only so the verify
-    command's failure path can be exercised.  A tower of order above
-    VERIFY_LIMIT raises ValueError before any field is built.
+    A tower of order above VERIFY_LIMIT raises ValueError before any
+    field is built.
     """
     fields = list(fields)
     for p, m, t in fields:
@@ -199,7 +200,7 @@ def equivalence_report(fields=VERIFICATION_FIELDS, perturb: int = 0) -> list[dic
         ctx = construct_field(p, m, t)
         cc = enumerate_cosets(ctx.q, ctx.t)
         for k in range(1, ctx.order):
-            formula = filter_cosets(cc, k).dim + perturb
+            formula = filter_cosets(cc, k).dim
             oracle = brute_dim(ctx, k)
             rows.append({
                 "p": p, "m": m, "t": t, "k": k,

@@ -21,7 +21,8 @@ right-hand side is folded by Frobenius: every downloaded tau_e lies in
 B, so the check sum at a q is the q-th power of the one at a, and each
 selected coset costs one evaluation at its first exponent.  A download
 outside B is refused, since the fold would turn it into a wrong value.
-With d = 0 the window, E and the substitutions are empty.
+With d = 0 the window, E and the substitutions are empty.  The finish
+f(x0) is minus the same sum at a = 1 over all n - 1 traces.
 """
 
 from __future__ import annotations
@@ -130,7 +131,8 @@ def gw_finish(ctx: FieldTower, traces, k: int) -> int:
     """Recombine a full trace vector {a: trace(f(x0 + a) / a)} into f(x0).
 
     Expanding f(x0) over the dual basis and exchanging the sums gives
-    f(x0) = -sum over a of a * trace(f(x0 + a) / a).
+    f(x0) = -sum over a of a * trace(f(x0 + a) / a): minus the check sum
+    at exponent 1.  Every trace must lie in B, or the sum is not f(x0).
     """
     if k > gw_max_k(ctx):
         raise ValueError(f"k must be at most {gw_max_k(ctx)} for trace repair, got {k}")
@@ -141,11 +143,10 @@ def gw_finish(ctx: FieldTower, traces, k: int) -> int:
         raise ValueError("need traces for every nonzero point")
     if not all(0 <= v < n for v in entries.values()):
         raise ValueError("traces must be field elements")
-    add, mul = ctx.add, ctx.mul
-    acc = 0
-    for a, fa in entries.items():
-        acc = add(acc, mul(a, fa))
-    return ctx.neg(acc)
+    if not all(map(ctx.in_base_field, set(entries.values()))):
+        raise ValueError("traces must lie in the base field")
+    log = ctx.log
+    return ctx.neg(ctx.sum_powers([log(a) + log(v) for a, v in entries.items() if v]))
 
 
 @dataclass(frozen=True)

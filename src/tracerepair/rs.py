@@ -2,7 +2,9 @@
 
 The evaluation set is all of F in a fixed order: position 0 holds the
 value at the field element 0, position j >= 1 holds the value at
-omega^(j-1).
+omega^(j-1).  Encoding sums powers of omega: with c_i = omega^(l_i),
+f(omega^j) = sum over nonzero c_i of omega^(i j + l_i), one
+FieldTower.sum_powers call per point.
 """
 
 from __future__ import annotations
@@ -47,14 +49,10 @@ def encode(ctx: FieldTower, coeffs) -> Codeword:
         raise ValueError(f"message length must be in [1, {ctx.order}]")
     if any(not 0 <= c < ctx.order for c in coeffs):
         raise ValueError("coefficient out of range")
-    add, mul = ctx.add, ctx.mul
-    values = []
-    for j in range(ctx.order):
-        x = position_point(ctx, j)
-        acc = 0
-        for c in reversed(coeffs):
-            acc = add(mul(acc, x), c)
-        values.append(acc)
+    mod = ctx.order - 1
+    terms = [(i, ctx.log(c)) for i, c in enumerate(coeffs) if c]
+    values = [coeffs[0]] + [ctx.sum_powers([i * j % mod + lc for i, lc in terms])
+                            for j in range(mod)]
     return Codeword(ctx, k, tuple(values), frozenset())
 
 

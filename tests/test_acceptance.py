@@ -198,7 +198,7 @@ def test_criterion_9_property_suites(gf9, gf64_over_gf8) -> None:
                 for shift in range(coset.size):
                     poly = trace_poly(ctx, fc, i, shift)
                     if not all(ctx.in_base_field(poly.eval(ctx, x))
-                               for x in ctx.elements()):
+                               for x in range(ctx.order)):
                         problems.append(("valuedness", p, m, t, k, i, shift))
 
     # (b) over a thousand check-vector/codeword inner products, all zero

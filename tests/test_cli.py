@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from tracerepair import oracle
 from tracerepair.cli import main
 
 
@@ -132,11 +133,20 @@ def test_verify_single_field(capsys) -> None:
     assert "all checks passed" in out
 
 
-def test_verify_fault_injection(capsys) -> None:
-    code, out, _ = run(capsys, "verify", "--p", "3", "--m", "1", "--t", "2",
-                       "--inject-fault")
+def test_verify_fault_injection(capsys, monkeypatch) -> None:
+    # the brute-force side is shifted: filter_cosets also feeds the repair
+    # checks, where a wrong dimension stops the run instead of failing a row
+    real = oracle.brute_dim
+    monkeypatch.setattr(oracle, "brute_dim", lambda ctx, k: real(ctx, k) + 1)
+    code, out, _ = run(capsys, "verify", "--p", "3", "--m", "1", "--t", "2")
     assert code == 1
-    assert "MISMATCH" in out
+    lines = [l for l in out.split("\n") if l.startswith("p=")]
+    assert len(lines) == 8 and all(l.endswith(" MISMATCH") for l in lines)
+    assert "verification FAILED" in out
+    # no hidden switch is left to fake a failure
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--inject-fault"])
+    assert exc.value.code == 2
 
 
 def test_verify_json(capsys) -> None:

@@ -99,4 +99,4 @@ def test_lu_round_trip(case) -> None:
     ctx, mat, rhs = case
     assert linalg.rank(ctx, mat) == len(mat)
     x = linalg.LUFactorization(ctx, mat).solve(rhs)
-    assert linalg.mat_vec(ctx, mat, x) == rhs
+    assert linalg.mat_mul(ctx, mat, [[v] for v in x]) == [[v] for v in rhs]

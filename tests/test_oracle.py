@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import types
 
 import pytest
@@ -53,6 +54,12 @@ def test_rank_over_base_rejects_outsiders(gf9) -> None:
         rank_over_base(gf9, [[gf9.exp(1), 0]])
 
 
+def test_rank_over_base_rejects_ragged_rows(gf9) -> None:
+    for mat in ([[1, 0], [1]], [[1], [1, 0]], [[1, 2], []]):
+        with pytest.raises(ValueError, match="same length"):
+            rank_over_base(gf9, mat)
+
+
 def test_repair_round_trip_every_field(gf4, gf9, gf8, gf16_over_gf4,
                                        gf16_over_gf2, gf25, gf64_over_gf8) -> None:
     # light pass over the whole matrix; the acceptance suite goes deeper
@@ -75,8 +82,15 @@ def test_equivalence_report_clean() -> None:
     assert all(r["ok"] for r in rows)
 
 
-def test_equivalence_report_fault_injection() -> None:
-    rows = equivalence_report(fields=((2, 1, 2),), perturb=1)
+def test_equivalence_report_fault_injection(monkeypatch) -> None:
+    real = oracle.filter_cosets
+
+    def off_by_one(cc, k):
+        fc = real(cc, k)
+        return dataclasses.replace(fc, dim=fc.dim + 1)
+
+    monkeypatch.setattr(oracle, "filter_cosets", off_by_one)
+    rows = equivalence_report(fields=((2, 1, 2),))
     assert all(not r["ok"] for r in rows)
 
 

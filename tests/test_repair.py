@@ -61,7 +61,7 @@ def test_trace_polys_are_base_field_valued(gf4, gf9, gf8, gf16_over_gf4,
             for i, coset in enumerate(fc.selected):
                 for shift in range(coset.size):
                     poly = trace_poly(ctx, fc, i, shift)
-                    for x in ctx.elements():
+                    for x in range(ctx.order):
                         assert ctx.in_base_field(poly.eval(ctx, x))
 
 
@@ -73,7 +73,7 @@ def test_small_coset_uses_stabilizer_subfield_base(gf16_over_gf2) -> None:
     assert fc.selected[1].elements == (5, 10)
     poly = trace_poly(ctx, fc, 1, 1)
     assert poly.terms == ((5, ctx.exp(5)), (10, ctx.exp(10)))
-    for x in ctx.elements():
+    for x in range(ctx.order):
         assert ctx.in_base_field(poly.eval(ctx, x))
 
 
@@ -282,9 +282,10 @@ def test_one_check_sum_per_selected_coset(gf64_over_gf8, monkeypatch) -> None:
             calls.append("solve")
             return real_solve(self, rhs)
 
+        # encoding sums powers too, so it runs before the patch
+        cw = encode(ctx, tuple(range(k)))
         monkeypatch.setattr(ctx, "sum_powers", sum_powers)
         monkeypatch.setattr(linalg.LUFactorization, "solve", solve)
-        cw = encode(ctx, tuple(range(k)))
         got, _ = repair_pipeline(ctx, k, 5, erase(cw, 0), plan=plan)
         assert got == cw.values[0]
         assert calls.count("solve") == 1
@@ -296,7 +297,7 @@ def test_one_check_sum_per_selected_coset(gf64_over_gf8, monkeypatch) -> None:
 def test_recover_refuses_non_base_download(p, m, t, k, monkeypatch) -> None:
     ctx = construct_field(p, m, t)
     plan = _plan(ctx, k, 3)
-    bad = [x for x in ctx.elements() if not ctx.in_base_field(x)]
+    bad = [x for x in range(ctx.order) if not ctx.in_base_field(x)]
     cw = encode(ctx, tuple(range(1, k + 1)))
     truth = _direct_traces(ctx, cw)
 
@@ -320,7 +321,8 @@ def _recover_digest(p, m, t, k, r, draws=3):
     ctx = construct_field(p, m, t)
     plan = _plan(ctx, k, r)
     rng = random.Random(p * 10007 + m * 101 + t * 11 + k)
-    base = ctx.base_field_elements()
+    s = (ctx.order - 1) // (ctx.q - 1)
+    base = [0] + [ctx.exp(j * s) for j in range(ctx.q - 1)]
     out = []
     for _ in range(draws):
         downloaded = {a: rng.choice(base) for a in plan.helpers}
@@ -377,6 +379,17 @@ def test_out_of_range_traces_refused(gf9, bad) -> None:
         downloaded = {x: v for x, v in traces.items() if x not in plan.omitted}
         with pytest.raises(ValueError):
             recover_missing_traces(plan, downloaded)
+
+
+@pytest.mark.parametrize("p,m,t", [(3, 1, 2), (2, 2, 2)])
+def test_gw_finish_refuses_traces_outside_base(p, m, t) -> None:
+    ctx = construct_field(p, m, t)
+    truth = _direct_traces(ctx, encode(ctx, (5, 2, 7)))
+    assert gw_finish(ctx, truth, 3) == 5
+    outsider = next(x for x in range(ctx.order) if not ctx.in_base_field(x))
+    for a in truth:
+        with pytest.raises(ValueError, match="base field"):
+            gw_finish(ctx, {**truth, a: outsider}, 3)
 
 
 def test_gw_finish_validates(gf9) -> None:

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from tracerepair.field import construct_field
 from tracerepair.rs import (Codeword, classical_repair, encode, erase,
                             position_point)
 
@@ -92,14 +93,25 @@ def test_classical_repair_validates(gf9) -> None:
         classical_repair(cw, [0, 1, 2])       # erased helper
 
 
-def test_codeword_agrees_with_direct_evaluation(gf16_over_gf4) -> None:
-    ctx = gf16_over_gf4
+@pytest.mark.parametrize("p,m,t", [(2, 2, 2), (3, 1, 2), (5, 1, 2), (3, 1, 5),
+                                   (7, 1, 3)])
+def test_codeword_agrees_with_direct_evaluation(p, m, t) -> None:
+    ctx = construct_field(p, m, t)
+    n = ctx.order
     rng = random.Random(5)
-    coeffs = tuple(rng.randrange(16) for _ in range(4))
-    cw = encode(ctx, coeffs)
-    for j in range(16):
-        x = position_point(ctx, j)
-        val = 0
-        for i, c in enumerate(coeffs):
-            val = ctx.add(val, ctx.mul(c, ctx.pow(x, i)))
-        assert cw.values[j] == val
+    nonzero = lambda count: tuple(rng.randrange(1, n) for _ in range(count))
+    messages = [
+        tuple(rng.randrange(n) for _ in range(4)),
+        (0, 0) + nonzero(3),                  # leading zeros
+        nonzero(3) + (0, 0),                  # trailing zeros
+        (0,) * 5,
+        tuple(rng.randrange(n) for _ in range(n)),  # k = n
+    ]
+    for coeffs in messages:
+        cw = encode(ctx, coeffs)
+        for j in range(n):
+            x = position_point(ctx, j)
+            val = 0
+            for i, c in enumerate(coeffs):
+                val = ctx.add(val, ctx.mul(c, ctx.pow(x, i)))
+            assert cw.values[j] == val, (coeffs, j)
