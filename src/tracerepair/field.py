@@ -18,13 +18,12 @@ the antilog table because adding 1 changes only the lowest base-p digit;
 negation multiplies by -1 = w^((p^(m*t) - 1)/2).  The integer encoding
 is the same for every p, so results match digit-wise arithmetic exactly.
 
-The vector kernels (neg_logs, sum_powers, axpy, dot) serve the LU, and
-sum_powers alone serves encoding, the repair check sums and the
-Guruswami-Wootters finish.  They work on discrete logs straight from the
-tables, with no method call per element: a sum of powers of w is an
+The two vector kernels work on discrete logs straight from the tables,
+with no method call per element.  sum_powers serves encoding, the repair
+check sums and the Guruswami-Wootters finish: a sum of powers of w is an
 XOR-reduce for p = 2 and a Zech chain on the log of the running sum for
-odd p.  A row of operands is stored as log(-x) per entry, -1 for zero;
-that encoding is private to this module.
+odd p.  dot, a sum_powers over an operand row (log(-x) per entry, -1 for
+zero) and a row of elements, serves the LU's substitutions.
 
 Construction is deterministic: the modulus is the monic irreducible
 polynomial of degree m*t with the smallest integer encoding, and the
@@ -275,13 +274,6 @@ class FieldTower:
 
     # -- vector kernels (see the module docstring) -------------------
 
-    def neg_logs(self, xs) -> list[int]:
-        """Operand row of xs: log(-x) per entry, for axpy and dot."""
-        # log[-x] rather than (log x + log(-1)) % (order - 1): the entry is
-        # then the log table's own int, not one new object per entry
-        log, antilog, lm1 = self._log, self._antilog, self._log_minus_one
-        return [log[antilog[log[x] + lm1]] if x else -1 for x in xs]
-
     def sum_powers(self, exps) -> int:
         """Sum of w^e over exponents e in [0, 2 (order - 1))."""
         antilog = self._antilog
@@ -303,24 +295,6 @@ class FieldTower:
         """-sum of x * y over the entries x of an operand row and the elements ys."""
         log = self._log
         return self.sum_powers([lx + log[y] for lx, y in zip(row, ys) if lx >= 0 and y])
-
-    def axpy(self, ys, c: int, row) -> list[int]:
-        """ys - w^c * x per entry x of an operand row, c in [0, order - 1)."""
-        antilog = self._antilog
-        if self.p == 2:
-            return [y ^ antilog[c + lx] if lx >= 0 else y for y, lx in zip(ys, row)]
-        log, zech = self._log, self._zech
-        out = []
-        for y, lx in zip(ys, row):
-            if lx >= 0:
-                if y:
-                    ly = log[y]
-                    z = zech[c + lx - ly]
-                    y = 0 if z < 0 else antilog[ly + z]
-                else:
-                    y = antilog[c + lx]
-            out.append(y)
-        return out
 
     # -- tower structure ---------------------------------------------
 

@@ -86,6 +86,8 @@ def brute_repair_check(ctx: FieldTower, k: int, r: int, trials: int | None = Non
     With trials=None the message space is swept exhaustively when it has
     at most _EXHAUSTIVE_LIMIT elements, else 1000 seeded random messages.
     """
+    if trials is not None and trials < 1:
+        raise ValueError(f"trials must be positive, got {trials}")
     n = ctx.order
     cc = enumerate_cosets(ctx.q, ctx.t)
     plan = build_plan(ctx, filter_cosets(cc, k), r)

@@ -15,9 +15,10 @@ a in A the codeword satisfies the check
 A window of d = |A| consecutive powers of the primitive element can
 therefore have its traces reconstructed from everyone else instead of
 downloaded: the window block E = (omega^(a (r + c))) is a Vandermonde
-matrix in the distinct nodes omega^a, so it is LU-factored once per
-plan and each repair costs one forward and one back substitution.  The
-right-hand side is folded by Frobenius: every downloaded tau_e lies in
+matrix in the distinct nodes omega^a, row a scaled by omega^(a r), so
+its LU factors follow in closed form from Newton's form in O(d^2) once
+per plan, and each repair costs one forward and one back substitution.
+The right-hand side is folded by Frobenius: every downloaded tau_e lies in
 B, so the check sum at a q is the q-th power of the one at a, and each
 selected coset costs one evaluation at its first exponent.  A download
 outside B is refused, since the fold would turn it into a wrong value.
@@ -78,11 +79,10 @@ def build_plan(ctx: FieldTower, fc: FilteredCosets, r: int) -> RepairPlan:
     omitted_exps = tuple((r + c) % mod for c in range(d))
     window = set(omitted_exps)
     helper_exps = tuple(e for e in range(mod) if e not in window)
-    # E: rows omega^(a e) over the window exponents e, a in A
-    window_block = [[ctx.exp(a * e) for e in omitted_exps]
-                    for coset in fc.selected for a in coset.elements]
+    # E: rows omega^(a (r + c)), c < d, one per a in A
+    exps = [a for coset in fc.selected for a in coset.elements]
     return RepairPlan(ctx, fc, k, r, d, omitted_exps, helper_exps,
-                      linalg.LUFactorization(ctx, window_block))
+                      linalg.LUFactorization(ctx, exps, r))
 
 
 def recover_missing_traces(plan: RepairPlan, downloaded) -> dict:
@@ -134,8 +134,8 @@ def gw_finish(ctx: FieldTower, traces, k: int) -> int:
     f(x0) = -sum over a of a * trace(f(x0 + a) / a): minus the check sum
     at exponent 1.  Every trace must lie in B, or the sum is not f(x0).
     """
-    if k > gw_max_k(ctx):
-        raise ValueError(f"k must be at most {gw_max_k(ctx)} for trace repair, got {k}")
+    if not 1 <= k <= gw_max_k(ctx):
+        raise ValueError(f"k must be in [1, {gw_max_k(ctx)}] for trace repair, got {k}")
     n = ctx.order
     entries = dict(traces)
     # compared before any table lookup, which would fail or wrap outside [0, n)

@@ -33,6 +33,8 @@ class Codeword:
         return self.ctx.order
 
     def value_at(self, j: int) -> int:
+        if not 0 <= j < len(self.values):
+            raise ValueError(f"position {j} out of range")
         if j in self.erased:
             raise ValueError(f"position {j} is erased")
         return self.values[j]

@@ -2,7 +2,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -193,6 +197,24 @@ def test_usage_error_bad_k(capsys) -> None:
     code, _, err = run(capsys, "dim", "--p", "3", "--m", "1", "--t", "2", "--k", "9")
     assert code == 2
     assert "error:" in err
+
+
+def _run_module(*argv):
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "tracerepair", *argv], cwd=root,
+                          env=env, capture_output=True, timeout=60)
+
+
+def test_module_entry_point(capsys) -> None:
+    argv = ("dim", "--p", "3", "--m", "1", "--t", "2", "--k", "3")
+    _, out, _ = run(capsys, *argv)
+    proc = _run_module(*argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == out.encode()
+    assert _run_module("cosets", "--p", "6", "--m", "1", "--t", "2").returncode == 2
 
 
 def test_usage_error_missing_args() -> None:

@@ -76,6 +76,12 @@ def test_brute_repair_check_exhaustive_mode(gf4) -> None:
     assert brute_repair_check(gf4, 2, 0)
 
 
+@pytest.mark.parametrize("trials", [0, -5])
+def test_brute_repair_check_refuses_no_trials(gf9, trials) -> None:
+    with pytest.raises(ValueError, match="trials"):
+        brute_repair_check(gf9, 3, 0, trials=trials)
+
+
 def test_equivalence_report_clean() -> None:
     rows = equivalence_report(fields=((2, 1, 2), (3, 1, 2)))
     assert len(rows) == 3 + 8

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import random
+import time
 
 import pytest
 
@@ -176,6 +177,43 @@ def test_factor_matrices_invertible(gf9, gf64_over_gf8) -> None:
             if plan.dim:
                 assert linalg.rank(ctx, vander_blocks(ctx, plan.cosets)) == plan.dim
                 assert linalg.rank(ctx, window_block(plan)) == plan.dim
+
+
+def test_plan_solve_inverts_window_block_every_plan(gf9, gf16_over_gf4,
+                                                    gf64_over_gf8) -> None:
+    rng = random.Random(17)
+    for ctx in (gf9, gf16_over_gf4, gf64_over_gf8):
+        cc = enumerate_cosets(ctx.q, ctx.t)
+        for k in range(1, gw_max_k(ctx) + 1):
+            fc = filter_cosets(cc, k)
+            for r in range(ctx.order - 1):
+                plan = build_plan(ctx, fc, r)
+                b = [rng.randrange(ctx.order) for _ in range(plan.dim)]
+                x = plan._e_lu.solve(b)
+                assert linalg.mat_mul(ctx, window_block(plan), [[v] for v in x]) == [
+                    [v] for v in b], (ctx, k, r)
+
+
+def test_plan_and_repair_gf4096_within_bound() -> None:
+    # d = 1086: a dense elimination of E takes about a minute in pure Python;
+    # Newton's form is O(d^2)
+    ctx = construct_field(2, 6, 2)
+    k = gw_max_k(ctx) // 2
+    rng = random.Random(29)
+    t0 = time.perf_counter()
+    plan = _plan(ctx, k, rng.randrange(ctx.order - 1))
+    # encoding costs one term per nonzero coefficient, so keep a few
+    coeffs = [0] * k
+    for i in rng.sample(range(k), 4):
+        coeffs[i] = rng.randrange(1, ctx.order)
+    cw = encode(ctx, coeffs)
+    position = rng.randrange(ctx.order)
+    got, report = repair_at(ctx, k, plan.r, erase(cw, position), position, plan=plan)
+    elapsed = time.perf_counter() - t0
+    assert plan.dim == 1086
+    assert got == cw.values[position]
+    assert report.b_symbols == ctx.order - 1 - plan.dim
+    assert elapsed < 10.0, elapsed
 
 
 def test_degenerate_plan_no_window(gf4) -> None:
@@ -397,6 +435,10 @@ def test_gw_finish_validates(gf9) -> None:
     truth = _direct_traces(gf9, cw)
     with pytest.raises(ValueError):
         gw_finish(gf9, truth, 7)  # beyond the bound
+    zeros = {a: 0 for a in truth}
+    for k in (0, -3):
+        with pytest.raises(ValueError, match="k must be in"):
+            gw_finish(gf9, zeros, k)
     partial = dict(truth)
     partial.popitem()
     with pytest.raises(ValueError):

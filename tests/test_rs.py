@@ -54,6 +54,14 @@ def test_erasure_bookkeeping(gf9) -> None:
         erase(gone, 0)
 
 
+def test_value_at_refuses_positions_outside_the_code(gf9) -> None:
+    cw = encode(gf9, (5, 2, 7))
+    assert cw.value_at(8) == cw.values[8]
+    for j in (-1, 9):
+        with pytest.raises(ValueError, match="out of range"):
+            cw.value_at(j)
+
+
 def test_erase_arbitrary_position(gf9) -> None:
     cw = encode(gf9, (1, 2, 3))
     gone = erase(cw, 5)
