@@ -193,7 +193,11 @@ def main(argv=None) -> int:
         return 2
     try:
         if args.output:
-            with open(args.output, "w", newline="\n") as out:
+            try:
+                out = open(args.output, "w", newline="\n")
+            except OSError as exc:
+                raise ValueError(f"cannot write {args.output}: {exc.strerror}") from exc
+            with out:
                 return args.func(args, out)
         return args.func(args, sys.stdout)
     except ValueError as exc:

@@ -18,12 +18,11 @@ the antilog table because adding 1 changes only the lowest base-p digit;
 negation multiplies by -1 = w^((p^(m*t) - 1)/2).  The integer encoding
 is the same for every p, so results match digit-wise arithmetic exactly.
 
-The two vector kernels work on discrete logs straight from the tables,
-with no method call per element.  sum_powers serves encoding, the repair
-check sums and the Guruswami-Wootters finish: a sum of powers of w is an
-XOR-reduce for p = 2 and a Zech chain on the log of the running sum for
-odd p.  dot, a sum_powers over an operand row (log(-x) per entry, -1 for
-zero) and a row of elements, serves the LU's substitutions.
+The one vector kernel, sum_powers, works on discrete logs straight from
+the tables, with no method call per element.  It serves encoding, the
+repair check sums, the Guruswami-Wootters finish and the LU's
+substitutions: a sum of powers of w is an XOR-reduce for p = 2 and a
+Zech chain on the log of the running sum for odd p.
 
 Construction is deterministic: the modulus is the monic irreducible
 polynomial of degree m*t with the smallest integer encoding, and the
@@ -272,7 +271,7 @@ class FieldTower:
             raise ValueError("log of zero")
         return self._log[x]
 
-    # -- vector kernels (see the module docstring) -------------------
+    # -- vector kernel (see the module docstring) --------------------
 
     def sum_powers(self, exps) -> int:
         """Sum of w^e over exponents e in [0, 2 (order - 1))."""
@@ -290,11 +289,6 @@ class FieldTower:
                 z = zech[e - acc]
                 acc = -1 if z < 0 else (acc + z) % mod
         return 0 if acc < 0 else antilog[acc]
-
-    def dot(self, row, ys) -> int:
-        """-sum of x * y over the entries x of an operand row and the elements ys."""
-        log = self._log
-        return self.sum_powers([lx + log[y] for lx, y in zip(row, ys) if lx >= 0 and y])
 
     # -- tower structure ---------------------------------------------
 

@@ -74,7 +74,7 @@ def rank_over_base(ctx: FieldTower, mat) -> int:
         raise ValueError("matrix rows must all have the same length")
     for row in mat:
         for x in row:
-            if not ctx.in_base_field(x):
+            if not (0 <= x < ctx.order and ctx.in_base_field(x)):
                 raise ValueError(f"entry {x} is not in the base field")
     return linalg.rank(ctx, mat)
 

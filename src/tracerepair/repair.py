@@ -112,19 +112,14 @@ def recover_missing_traces(plan: RepairPlan, downloaded) -> dict:
     # coset, then Frobenius.
     rhs = []
     for coset in plan.cosets.selected:
-        a = coset.elements[0]
-        s = ctx.neg(ctx.sum_powers([a * e % mod + lv for e, lv in logs]))
-        rhs.append(s)
-        for _ in coset.elements[1:]:
-            s = ctx.frobenius(s)
+        s = ctx.neg(ctx.sum_powers([coset.elements[0] * e % mod + lv for e, lv in logs]))
+        for _ in coset.elements:
             rhs.append(s)
+            s = ctx.frobenius(s)
     window = plan._e_lu.solve(rhs)
-    entries = {}
-    for a, v in zip(plan.omitted, window):
-        if not ctx.in_base_field(v):
-            raise AssertionError("recovered trace left the base field")
-        entries[a] = v
-    return entries
+    if not all(map(ctx.in_base_field, window)):
+        raise AssertionError("recovered trace left the base field")
+    return dict(zip(plan.omitted, window))
 
 
 def gw_finish(ctx: FieldTower, traces, k: int) -> int:

@@ -28,6 +28,11 @@ class Codeword:
     values: tuple[int, ...]
     erased: frozenset[int]
 
+    def __post_init__(self):
+        vals, n = self.values, self.n
+        if len(vals) != n or not 0 <= min(vals) <= max(vals) < n:
+            raise ValueError(f"a codeword holds {n} field elements in [0, {n})")
+
     @property
     def n(self) -> int:
         return self.ctx.order

@@ -128,6 +128,16 @@ def test_output_file(tmp_path, capsys) -> None:
     assert path.read_bytes() == b"k,classical,gw,ours\n1,2,8,2\n2,4,8,3\n"
 
 
+def test_output_path_that_cannot_be_opened(tmp_path, capsys) -> None:
+    for path in (tmp_path / "missing" / "x.txt", tmp_path):
+        code, out, err = run(capsys, "--output", str(path), "dim",
+                             "--p", "3", "--m", "1", "--t", "2", "--k", "3")
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write {path}: ")
+        assert "Traceback" not in err
+
+
 def test_verify_single_field(capsys) -> None:
     code, out, _ = run(capsys, "verify", "--p", "3", "--m", "1", "--t", "2")
     assert code == 0

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import ast
 import random
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -230,3 +231,17 @@ def test_field_and_linalg_are_leaf_modules(monkeypatch) -> None:
     monkeypatch.setattr(linalg.LUFactorization, "__init__", no_lu)
     for p, m, t in VERIFICATION_FIELDS:
         assert construct_field(p, m, t).order == p ** (m * t)
+
+
+def test_package_imports_only_itself_and_the_standard_library() -> None:
+    src = Path(tracerepair.__file__).resolve().parent
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = [] if node.level else [node.module]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            for name in names:
+                assert name.partition(".")[0] in sys.stdlib_module_names, (path.name, name)

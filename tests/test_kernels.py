@@ -1,4 +1,4 @@
-"""Property tests: the log-domain kernels and the LU against scalar arithmetic."""
+"""Property tests: the sum_powers kernel and the LU against scalar arithmetic."""
 
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ def _field(tower):
 
 
 def _element(ctx):
-    # zero is drawn often, so the zero-operand branches are covered
+    # zero is drawn often, so the branches for zero (log -1) are covered
     return st.one_of(st.just(0), st.integers(0, ctx.order - 1))
 
 
@@ -49,41 +49,24 @@ def test_sum_powers_matches_scalar_add(case) -> None:
 
 
 @st.composite
-def _rows(draw):
-    ctx = _field(draw(st.sampled_from(KERNEL_TOWERS)))
-    size = draw(st.integers(0, 8))
-    xs = draw(st.lists(_element(ctx), min_size=size, max_size=size))
-    ys = draw(st.lists(_element(ctx), min_size=size, max_size=size))
-    return ctx, xs, ys
-
-
-def _operands(ctx, xs):
-    return [ctx.log(ctx.neg(x)) if x else -1 for x in xs]
-
-
-@given(_rows())
-def test_dot_matches_scalar(case) -> None:
-    ctx, xs, ys = case
-    want = ctx.neg(reduce(ctx.add, map(ctx.mul, xs, ys), 0))
-    assert ctx.dot(_operands(ctx, xs), ys) == want
-    # x + (-x) along a row
-    assert ctx.dot(_operands(ctx, xs + xs), ys + [ctx.neg(y) for y in ys]) == 0
-
-
-@st.composite
 def _window(draw):
-    """Distinct exponents, a window start r and a right-hand side."""
+    """Distinct exponents, a window start r, a right-hand side and a solution."""
     ctx = _field(draw(st.sampled_from(LU_TOWERS)))
     mod = ctx.order - 1
     exps = draw(st.lists(st.integers(0, mod - 1), min_size=1, max_size=6, unique=True))
     r = draw(st.integers(0, mod - 1))
     rhs = draw(st.lists(_element(ctx), min_size=len(exps), max_size=len(exps)))
-    return ctx, exps, r, rhs
+    sol = draw(st.lists(_element(ctx), min_size=len(exps), max_size=len(exps)))
+    return ctx, exps, r, rhs, sol
 
 
 @given(_window())
 def test_lu_round_trip(case) -> None:
-    ctx, exps, r, rhs = case
+    ctx, exps, r, rhs, sol = case
     mat = [[ctx.pow(ctx.exp(a), r + c) for c in range(len(exps))] for a in exps]
-    x = linalg.LUFactorization(ctx, exps, r).solve(rhs)
+    lu = linalg.LUFactorization(ctx, exps, r)
+    x = lu.solve(rhs)
     assert linalg.mat_mul(ctx, mat, [[v] for v in x]) == [[v] for v in rhs]
+    # a solution with zeros drives the zero-log path of both substitutions
+    b = [row[0] for row in linalg.mat_mul(ctx, mat, [[v] for v in sol])]
+    assert lu.solve(b) == sol

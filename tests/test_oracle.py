@@ -52,6 +52,9 @@ def test_rank_over_base(gf9) -> None:
 def test_rank_over_base_rejects_outsiders(gf9) -> None:
     with pytest.raises(ValueError):
         rank_over_base(gf9, [[gf9.exp(1), 0]])
+    for mat in ([[9]], [[1, 9]], [[-1]]):
+        with pytest.raises(ValueError):
+            rank_over_base(gf9, mat)
 
 
 def test_rank_over_base_rejects_ragged_rows(gf9) -> None:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -60,6 +61,19 @@ def test_value_at_refuses_positions_outside_the_code(gf9) -> None:
     for j in (-1, 9):
         with pytest.raises(ValueError, match="out of range"):
             cw.value_at(j)
+
+
+@pytest.mark.parametrize("bad", [-1, 9])
+def test_codeword_refuses_values_outside_the_field(gf9, bad) -> None:
+    cw = erase(encode(gf9, (5, 2, 7)), 0)
+    for pos in (2, 4):
+        values = list(cw.values)
+        values[pos] = bad
+        with pytest.raises(ValueError, match="holds 9 field elements"):
+            replace(cw, values=tuple(values))
+    for values in (cw.values[:-1], cw.values + (0,)):
+        with pytest.raises(ValueError, match="holds 9 field elements"):
+            Codeword(gf9, 3, values, frozenset())
 
 
 def test_erase_arbitrary_position(gf9) -> None:
