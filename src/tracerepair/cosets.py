@@ -9,6 +9,7 @@ equals the number of helper symbols the repair scheme gets to skip.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .field import _prime_factors, check_table_limit
 
@@ -89,6 +90,8 @@ def filter_cosets(cc: CosetCollection, k: int) -> FilteredCosets:
     n = cc.modulus + 1
     if n < 3:
         raise ValueError("field must have at least 3 elements")
+    if type(k) is not int:
+        raise ValueError(f"k must be an integer, got {k!r}")
     if not 1 <= k <= n - 1:
         raise ValueError(f"k must be in [1, {n - 1}], got {k}")
     selected, removed = [], []
@@ -102,3 +105,22 @@ def filter_cosets(cc: CosetCollection, k: int) -> FilteredCosets:
     dim = sum(c.size for c in selected)
     return FilteredCosets(cc, k, tuple(selected), tuple(removed), dim)
 
+
+def dimension_profile(cc: CosetCollection) -> tuple[int, ...]:
+    """filter_cosets(cc, k).dim for k = 1, ..., q^t - 1, in one pass.
+
+    For k >= 2 a coset other than {0} and the coset of 1 survives while
+    k <= n - max(coset), so the cosets are bucketed by that reach and
+    every dimension is one suffix sum over the buckets.
+    """
+    n = cc.modulus + 1
+    if n < 3:
+        raise ValueError("field must have at least 3 elements")
+    reach = [0] * (n + 1)
+    for c in cc.cosets:
+        if 1 in c.elements:
+            dim_1 = cc.modulus - c.size  # k = 1 keeps every other coset
+        elif c.rep:
+            reach[n - max(c.elements)] += c.size
+    at_least = list(accumulate(reversed(reach)))[::-1]  # at_least[k]: reach >= k
+    return (dim_1, *at_least[2:n])

@@ -31,7 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from . import linalg
-from .cosets import FilteredCosets, enumerate_cosets, filter_cosets
+from .cosets import (FilteredCosets, dimension_profile, enumerate_cosets,
+                     filter_cosets)
 from .field import FieldTower, construct_field
 from .rs import Codeword, position_point
 
@@ -71,6 +72,8 @@ def build_plan(ctx: FieldTower, fc: FilteredCosets, r: int) -> RepairPlan:
     if k > gw_max_k(ctx):
         raise ValueError(f"k must be at most {gw_max_k(ctx)} for trace repair, got {k}")
     n = ctx.order
+    if type(r) is not int:
+        raise ValueError(f"r must be an integer, got {r!r}")
     if not 0 <= r <= n - 2:
         raise ValueError(f"r must be in [0, {n - 2}], got {r}")
     d = fc.dim
@@ -216,13 +219,10 @@ def bandwidth_table(ctx: FieldTower, k_max: int) -> tuple[BandwidthRow, ...]:
     """Download counts in B-symbols for k = 1 .. k_max, scheme by scheme."""
     if not 1 <= k_max <= gw_max_k(ctx):
         raise ValueError(f"k_max must be in [1, {gw_max_k(ctx)}], got {k_max}")
-    cc = enumerate_cosets(ctx.q, ctx.t)
+    dims = dimension_profile(enumerate_cosets(ctx.q, ctx.t))
     n = ctx.order
-    rows = []
-    for k in range(1, k_max + 1):
-        d = filter_cosets(cc, k).dim
-        rows.append(BandwidthRow(k, k * ctx.t, n - 1, n - 1 - d))
-    return tuple(rows)
+    return tuple(BandwidthRow(k, k * ctx.t, n - 1, n - 1 - dims[k - 1])
+                 for k in range(1, k_max + 1))
 
 
 # -- plan serialization ---------------------------------------------

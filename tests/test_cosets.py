@@ -2,7 +2,8 @@ from __future__ import annotations
 
 import pytest
 
-from tracerepair.cosets import enumerate_cosets, filter_cosets
+from tracerepair.cosets import dimension_profile, enumerate_cosets, filter_cosets
+from tracerepair.field import is_prime
 
 SEVEN_FIELDS = ((2, 2), (3, 2), (4, 2), (2, 3), (2, 4), (5, 2), (8, 2))
 
@@ -117,9 +118,39 @@ def test_filter_k_out_of_range() -> None:
         filter_cosets(cc, 0)
     with pytest.raises(ValueError):
         filter_cosets(cc, 9)
+    for k in (2.5, 2.0, True):
+        with pytest.raises(ValueError, match="must be an integer"):
+            filter_cosets(cc, k)
 
 
 def test_two_element_field_refused() -> None:
     cc = enumerate_cosets(2, 1)
     with pytest.raises(ValueError):
         filter_cosets(cc, 1)
+    with pytest.raises(ValueError):
+        dimension_profile(cc)
+
+
+@pytest.mark.parametrize("q,t", SEVEN_FIELDS + ((3, 5), (7, 3), (4, 4)))
+def test_dimension_profile_matches_filter(q, t) -> None:
+    cc = enumerate_cosets(q, t)
+    assert dimension_profile(cc) == tuple(filter_cosets(cc, k).dim for k in range(1, q ** t))
+
+
+def test_paper_bound_on_every_small_tower() -> None:
+    """Trace repair never downloads more than classical repair's k t symbols.
+
+    Every (p, m, t) with 3 <= p^(m t) <= 2^12: for 1 <= k <= n - n/q (the
+    largest k the trace finish serves) n - 1 - d(k) <= k t, and d(k)
+    never increases with k.
+    """
+    towers = [(p, m, t) for p in range(2, 1 << 12) if is_prime(p)
+              for m in range(1, 13) for t in range(1, 13) if 3 <= p ** (m * t) <= 1 << 12]
+    assert len(towers) == 660
+    for p, m, t in towers:
+        q, n = p ** m, p ** (m * t)
+        dims = dimension_profile(enumerate_cosets(q, t))
+        assert len(dims) == n - 1
+        assert all(a >= b for a, b in zip(dims, dims[1:])), (p, m, t)
+        for k in range(1, n - n // q + 1):
+            assert n - 1 - dims[k - 1] <= k * t, (p, m, t, k)

@@ -232,6 +232,9 @@ def test_build_plan_validates(gf9) -> None:
         build_plan(gf9, filter_cosets(cc, 7), 0)   # beyond the trace-repair bound
     with pytest.raises(ValueError):
         build_plan(gf9, filter_cosets(cc, 3), 8)   # r out of range
+    for r in (1.5, 1.0, True):
+        with pytest.raises(ValueError, match="must be an integer"):
+            build_plan(gf9, filter_cosets(cc, 3), r)
     with pytest.raises(ValueError):
         build_plan(gf9, filter_cosets(enumerate_cosets(2, 2), 1), 0)  # wrong field
 

@@ -3,10 +3,13 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import replace
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tracerepair.field import construct_field
+from tracerepair.field import construct_field, is_prime
 from tracerepair.rs import (Codeword, classical_repair, encode, erase,
                             position_point)
 
@@ -137,3 +140,88 @@ def test_codeword_agrees_with_direct_evaluation(p, m, t) -> None:
             for i, c in enumerate(coeffs):
                 val = ctx.add(val, ctx.mul(c, ctx.pow(x, i)))
             assert cw.values[j] == val, (coeffs, j)
+
+
+def _per_point(ctx, coeffs) -> tuple[int, ...]:
+    """Codeword by the per-point formula encode used before the transform.
+
+    With c_i = omega^(l_i), f(omega^j) = sum over nonzero c_i of
+    omega^(i j + l_i), one sum_powers call per point; i = N wraps to 0.
+    """
+    mod = ctx.order - 1
+    terms = [(i, ctx.log(c)) for i, c in enumerate(coeffs) if c]
+    return (coeffs[0],) + tuple(ctx.sum_powers([i * j % mod + lc for i, lc in terms])
+                                for j in range(mod))
+
+
+# N = 1, the primes 3, 7 and 31, 63 = 3^2 7 and 728 = 2^3 7 13
+@pytest.mark.parametrize("p,m,t", [(2, 1, 1), (2, 1, 2), (2, 1, 3), (2, 1, 5),
+                                   (2, 1, 6), (3, 1, 6)])
+def test_transform_agrees_with_per_point_formula(p, m, t) -> None:
+    ctx = construct_field(p, m, t)
+    n = ctx.order
+    rng = random.Random(9)
+    nonzero = lambda count: tuple(rng.randrange(1, n) for _ in range(count))
+    for k in sorted({1, 2, n}):
+        half = k // 2
+        messages = [
+            tuple(rng.randrange(n) for _ in range(k)),
+            nonzero(k),
+            (0,) * half + nonzero(k - half),   # leading zeros
+            nonzero(k - half) + (0,) * half,   # trailing zeros
+            (0,) * (k - 1) + nonzero(1),
+            nonzero(1) + (0,) * (k - 1),
+        ]
+        for coeffs in messages:
+            assert encode(ctx, coeffs).values == _per_point(ctx, coeffs), (k, coeffs)
+
+
+# every field of order at most 729; encode depends on F alone, not on B
+SMALL_FIELDS = tuple((p, 1, e) for p in range(2, 730) if is_prime(p)
+                     for e in range(1, 10) if p ** e <= 729)
+
+
+@cache
+def _field(tower):
+    return construct_field(*tower)
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_transform_property(data) -> None:
+    ctx = _field(data.draw(st.sampled_from(SMALL_FIELDS)))
+    n = ctx.order
+    k = data.draw(st.integers(1, n))
+    element = st.one_of(st.just(0), st.integers(0, n - 1))
+    coeffs = tuple(data.draw(st.lists(element, min_size=k, max_size=k)))
+    assert encode(ctx, coeffs).values == _per_point(ctx, coeffs)
+
+
+def test_encode_cost_follows_the_prime_factors() -> None:
+    """One k = 496 encode over GF(1024)/GF(32) hands sum_powers about N (3 + 11 + 31) terms.
+
+    N = 1023 = 3 * 11 * 31; the per-point formula hands it N k, about 507k.
+    A message with no more nonzero coefficients than the radix 3 is
+    evaluated point by point, N k terms.  The tower is built here, so the
+    counting wrapper dies with it.
+    """
+    ctx = construct_field(2, 5, 2)
+    kernel = ctx.sum_powers
+    handed = []
+
+    def counted(exps):
+        handed.append(len(exps))
+        return kernel(exps)
+
+    def terms(coeffs) -> int:
+        handed.clear()
+        ctx.sum_powers = counted
+        values = encode(ctx, coeffs).values
+        del ctx.sum_powers
+        assert values == _per_point(ctx, coeffs)
+        return sum(handed)
+
+    coeffs = tuple(random.Random(3).randrange(1, 1024) for _ in range(496))
+    assert 0 < terms(coeffs) <= 1023 * (3 + 11 + 31) + 1023
+    for k in (1, 2, 3):
+        assert terms(coeffs[:k]) == 1023 * k
