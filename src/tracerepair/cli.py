@@ -96,9 +96,9 @@ def cmd_repair(args, out) -> int:
 
 
 def cmd_bandwidth(args, out) -> int:
-    ctx = construct_field(args.p, args.m, args.t)
-    k_max = args.k_max if args.k_max is not None else gw_max_k(ctx)
-    rows = bandwidth_table(ctx, k_max)
+    cc = _cosets_for(args)  # the rows need no field tables
+    k_max = args.k_max if args.k_max is not None else gw_max_k(cc)
+    rows = bandwidth_table(cc, k_max)
     print("k,classical,gw,ours", file=out)
     for row in rows:
         print(f"{row.k},{row.classical},{row.gw},{row.ours}", file=out)

@@ -26,10 +26,19 @@ of w is an XOR-reduce for p = 2 and a Zech chain on the log of the
 running sum for odd p.
 
 Construction is deterministic: the modulus is the monic irreducible
-polynomial of degree m*t with the smallest integer encoding, and the
-primitive element is the smallest integer of multiplicative order
-p^(m*t) - 1.  Two towers built from the same (p, m, t) therefore agree
-element by element.
+polynomial of degree m*t with the smallest integer encoding, found by
+trial division (carry-less on bit masks for p = 2), and the primitive
+element is the smallest integer of multiplicative order p^(m*t) - 1.
+Two towers built from the same (p, m, t) therefore agree element by
+element.  No product of two polynomials is formed.  A product is
+Horner's rule over one factor's digits, each step a shift by one digit
+with the digit pushed out folded back through the modulus from a table
+of p entries: a shift and an XOR on the bit mask for p = 2, and for odd
+p a shift of digit lanes packed into one int, all reduced mod p at
+once by one Barrett step.  Candidates for w are tested by
+square-and-multiply, skipping GF(p) when m*t > 1; then one walk of
+p^(m*t) - 1 steps, each a product by w's few digits, fills the log and
+antilog tables.
 """
 
 from __future__ import annotations
@@ -88,13 +97,6 @@ def _digits(x: int, p: int) -> list[int]:
     return out
 
 
-def _undigits(ds, p: int) -> int:
-    x = 0
-    for c in reversed(ds):
-        x = x * p + c
-    return x
-
-
 def _poly_rem(a: list[int], b: list[int], p: int) -> list[int]:
     """Remainder of a modulo b over GF(p); coefficient lists, ascending."""
     a = list(a)
@@ -114,19 +116,24 @@ def _poly_rem(a: list[int], b: list[int], p: int) -> list[int]:
     return a
 
 
-def _poly_mulmod(a: list[int], b: list[int], mod: list[int], p: int) -> list[int]:
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                prod[i + j] = (prod[i + j] + ca * cb) % p
-    return _poly_rem(prod, mod, p)
+def _clmod(a: int, b: int) -> int:
+    """Remainder of a modulo b over GF(2), polynomials as bit masks."""
+    n = b.bit_length()
+    while a.bit_length() >= n:
+        a ^= b << a.bit_length() - n
+    return a
 
 
 def _find_irreducible(p: int, degree: int) -> tuple[int, ...]:
     """Monic irreducible of given degree over GF(p), smallest encoding first."""
     if degree == 1:
         return (0, 1)
+    if p == 2:
+        # constant term 1, so x and its multiples never divide
+        for low in range(1, 1 << degree, 2):
+            f = 1 << degree | low
+            if all(_clmod(f, d) for d in range(3, 2 << degree // 2, 2)):
+                return tuple(f >> i & 1 for i in range(degree + 1))
     for enc in range(p ** degree):
         cand = _digits(enc, p)
         cand += [0] * (degree - len(cand)) + [1]
@@ -145,6 +152,75 @@ def _find_irreducible(p: int, degree: int) -> tuple[int, ...]:
         if not reducible:
             return tuple(cand)
     raise AssertionError("no irreducible polynomial found")
+
+
+def _arithmetic(p: int, modulus: tuple[int, ...]):
+    """(pack, times, unpack): multiplication in GF(p)[x] / modulus.
+
+    pack turns an integer encoding into a working form and unpack turns
+    it back; times(b) returns multiplication by a nonzero working form b.
+    That runs Horner's rule over the digits of b, top first, and each
+    step multiplies the running product by x: its digits move up one
+    place, and the digit pushed out at x^degree comes back through the
+    modulus, read from a table over its p values.
+    """
+    degree = len(modulus) - 1
+    if degree == 1:
+        return int, lambda b: lambda a: a * b % p, int
+    if p == 2:
+        # the working form is the encoding, bit i the digit of x^i
+        top = degree - 1
+        low = (1 << top) - 1
+        over = (0, sum(c << i for i, c in enumerate(modulus[:-1])))
+
+        def times(b):
+            bits = bin(b)[3:]  # after the leading 1
+
+            def mul(a):
+                r = a
+                for c in bits:
+                    r = (r & low) << 1 ^ over[r >> top]
+                    if c == "1":
+                        r ^= a
+                return r
+            return mul
+
+        return int, times, int
+    # Odd p: digit j sits in lane j, bits [width j, width (j + 1)) of one
+    # int.  Each of at most `degree` Horner steps adds below p^2 to a
+    # lane, so a product's lanes stay below 2^bits, and one Barrett step
+    # reduces them all: a lane's quotient by p is (lane * magic) >> shift,
+    # exact while lane * p < 2^shift, read from one product of the whole
+    # int.  The lanes are wide enough that no product spills into the next.
+    bits = (degree * p * p).bit_length()
+    shift = bits + p.bit_length()
+    width = max(2 * bits + 2, (degree * p ** degree).bit_length())
+    lane = (1 << width) - 1
+    magic = (1 << shift) // p + 1
+    quotients = sum(lane >> shift << width * j for j in range(degree))
+    top = width * (degree - 1)
+    low = (1 << top) - 1
+    over = [sum(-c * f % p << width * j for j, f in enumerate(modulus[:-1]))
+            for c in range(p)]
+    # lane degree - 1 of r * places is the encoding, sum of digit_j p^j
+    places = sum(p ** j << width * (degree - 1 - j) for j in range(degree))
+
+    def pack(x):
+        return sum(x // p ** j % p << width * j for j in range(degree))
+
+    def times(b):
+        digits = [b >> width * j & lane for j in range(degree)]
+        while not digits[-1]:
+            digits.pop()
+
+        def mul(a):
+            r = 0
+            for c in reversed(digits):
+                r = ((r & low) << width) + over[(r >> top) % p] + c * a
+            return r - (r * magic >> shift & quotients) * p
+        return mul
+
+    return pack, times, lambda r: r * places >> top & lane
 
 
 class FieldTower:
@@ -172,46 +248,40 @@ class FieldTower:
 
     # -- construction ------------------------------------------------
 
-    def _raw_mul(self, x: int, y: int) -> int:
-        mod = list(self.modulus)
-        r = _poly_mulmod(_digits(x, self.p), _digits(y, self.p), mod, self.p)
-        return _undigits(r, self.p)
-
-    def _raw_pow(self, x: int, e: int) -> int:
-        acc = 1
-        base = x
-        while e:
-            if e & 1:
-                acc = self._raw_mul(acc, base)
-            base = self._raw_mul(base, base)
-            e >>= 1
-        return acc
-
-    def _find_primitive(self) -> int:
-        group = self.order - 1
-        if group == 1:
-            return 1
-        checks = [group // f for f in _prime_factors(group)]
-        for cand in range(2, self.order):
-            if all(self._raw_pow(cand, c) != 1 for c in checks):
-                return cand
-        raise AssertionError("no primitive element found")
-
     def _build_tables(self):
-        order = self.order
-        self.primitive_element = self._find_primitive()
-        antilog = [0] * (order - 1)
+        p, order = self.p, self.order
+        pack, times, unpack = _arithmetic(p, self.modulus)
+        one = pack(1)
+
+        def power(x, e):
+            acc, by_x = one, times(x)
+            for c in bin(e)[2:]:
+                acc = times(acc)(acc)
+                if c == "1":
+                    acc = by_x(acc)
+            return acc
+
+        # the smallest integer of full order: 1 in GF(2), and no element
+        # of GF(p) when the degree exceeds 1, since its order divides p - 1
+        group = order - 1
+        checks = [group // f for f in _prime_factors(group)]
+        self.primitive_element = next(
+            c for c in range(p if self.degree > 1 else 1, order)
+            if all(power(pack(c), e) != one for e in checks))
+
+        antilog = [0] * group
         log = [-1] * order
-        acc = 1
-        for e in range(order - 1):
-            antilog[e] = acc
-            log[acc] = e
-            acc = self._raw_mul(acc, self.primitive_element)
-        if acc != 1:
+        step = times(pack(self.primitive_element))
+        acc = one
+        for e in range(group):
+            x = unpack(acc)
+            antilog[e] = x
+            log[x] = e
+            acc = step(acc)
+        if acc != one:
             raise AssertionError("primitive element order mismatch")
         self._log = log
         self._antilog = antilog + antilog
-        p = self.p
         if p == 2:
             self._log_minus_one = 0
         else:

@@ -31,8 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from . import linalg
-from .cosets import (FilteredCosets, dimension_profile, enumerate_cosets,
-                     filter_cosets)
+from .cosets import (CosetCollection, FilteredCosets, dimension_profile,
+                     enumerate_cosets, filter_cosets)
 from .field import FieldTower, construct_field
 from .rs import Codeword, position_point
 
@@ -59,9 +59,13 @@ class RepairPlan:
         return tuple(self.ctx.exp(e) for e in self.helper_exps)
 
 
-def gw_max_k(ctx: FieldTower) -> int:
-    """Largest message length the trace recombination can finish."""
-    return ctx.order - ctx.order // ctx.q
+def gw_max_k(ctx: FieldTower | CosetCollection) -> int:
+    """Largest message length the trace recombination can finish.
+
+    Only q and t are read, so the tower's coset collection serves too.
+    """
+    n = ctx.q ** ctx.t
+    return n - n // ctx.q
 
 
 def build_plan(ctx: FieldTower, fc: FilteredCosets, r: int) -> RepairPlan:
@@ -215,13 +219,19 @@ class BandwidthRow:
     ours: int
 
 
-def bandwidth_table(ctx: FieldTower, k_max: int) -> tuple[BandwidthRow, ...]:
-    """Download counts in B-symbols for k = 1 .. k_max, scheme by scheme."""
+def bandwidth_table(ctx: FieldTower | CosetCollection,
+                    k_max: int) -> tuple[BandwidthRow, ...]:
+    """Download counts in B-symbols for k = 1 .. k_max, scheme by scheme.
+
+    Only q, t and the cosets are read, so the tower's coset collection
+    may stand in for the tower, and then no field tables are built.
+    """
     if not 1 <= k_max <= gw_max_k(ctx):
         raise ValueError(f"k_max must be in [1, {gw_max_k(ctx)}], got {k_max}")
-    dims = dimension_profile(enumerate_cosets(ctx.q, ctx.t))
-    n = ctx.order
-    return tuple(BandwidthRow(k, k * ctx.t, n - 1, n - 1 - dims[k - 1])
+    cc = ctx if isinstance(ctx, CosetCollection) else enumerate_cosets(ctx.q, ctx.t)
+    dims = dimension_profile(cc)
+    n = cc.modulus + 1
+    return tuple(BandwidthRow(k, k * cc.t, n - 1, n - 1 - dims[k - 1])
                  for k in range(1, k_max + 1))
 
 

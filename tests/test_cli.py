@@ -12,6 +12,7 @@ import pytest
 
 from tracerepair import oracle
 from tracerepair.cli import main
+from tracerepair.field import FieldTower
 
 
 def run(capsys, *argv):
@@ -111,6 +112,19 @@ def test_bandwidth_default_k_max(capsys) -> None:
     assert len(lines) == 57  # header + k = 1..56
     assert lines[1] == "1,2,63,2"
     assert lines[56] == "56,112,63,63"
+
+
+def test_bandwidth_builds_no_tables(capsys, monkeypatch) -> None:
+    def no_tables(*args):
+        raise AssertionError("field tables built for bandwidth")
+
+    monkeypatch.setattr(FieldTower, "__init__", no_tables)
+    code, out, _ = run(capsys, "bandwidth", "--p", "3", "--m", "1", "--t", "2",
+                       "--k-max", "2")
+    assert (code, out) == (0, "k,classical,gw,ours\n1,2,8,2\n2,4,8,3\n")
+    code, out, err = run(capsys, "bandwidth", "--p", "3", "--m", "1", "--t", "2",
+                         "--k-max", "7")
+    assert (code, out, err) == (2, "", "error: k_max must be in [1, 6], got 7\n")
 
 
 def test_bandwidth_deterministic(capsys) -> None:

@@ -137,20 +137,32 @@ def test_dimension_profile_matches_filter(q, t) -> None:
     assert dimension_profile(cc) == tuple(filter_cosets(cc, k).dim for k in range(1, q ** t))
 
 
-def test_paper_bound_on_every_small_tower() -> None:
-    """Trace repair never downloads more than classical repair's k t symbols.
+def _assert_paper_bound(p: int, m: int, t: int) -> None:
+    """For 1 <= k <= n - n/q (the largest k the trace finish serves),
+    n - 1 - d(k) <= k t, and d(k) never increases with k."""
+    q, n = p ** m, p ** (m * t)
+    dims = dimension_profile(enumerate_cosets(q, t))
+    assert len(dims) == n - 1
+    assert all(a >= b for a, b in zip(dims, dims[1:])), (p, m, t)
+    for k in range(1, n - n // q + 1):
+        assert n - 1 - dims[k - 1] <= k * t, (p, m, t, k)
 
-    Every (p, m, t) with 3 <= p^(m t) <= 2^12: for 1 <= k <= n - n/q (the
-    largest k the trace finish serves) n - 1 - d(k) <= k t, and d(k)
-    never increases with k.
-    """
+
+def test_paper_bound_on_every_small_tower() -> None:
+    """Trace repair never downloads more than classical repair's k t
+    symbols, on every (p, m, t) with 3 <= p^(m t) <= 2^12."""
     towers = [(p, m, t) for p in range(2, 1 << 12) if is_prime(p)
               for m in range(1, 13) for t in range(1, 13) if 3 <= p ** (m * t) <= 1 << 12]
     assert len(towers) == 660
-    for p, m, t in towers:
-        q, n = p ** m, p ** (m * t)
-        dims = dimension_profile(enumerate_cosets(q, t))
-        assert len(dims) == n - 1
-        assert all(a >= b for a, b in zip(dims, dims[1:])), (p, m, t)
-        for k in range(1, n - n // q + 1):
-            assert n - 1 - dims[k - 1] <= k * t, (p, m, t, k)
+    for tower in towers:
+        _assert_paper_bound(*tower)
+
+
+def test_paper_bound_past_2_12() -> None:
+    """The same bound on every proper tower (t >= 2) with
+    2^12 < p^(m t) <= 2^16."""
+    towers = [(p, m, t) for p in range(2, 1 << 8) if is_prime(p)
+              for m in range(1, 9) for t in range(2, 17) if 1 << 12 < p ** (m * t) <= 1 << 16]
+    assert len(towers) == 69
+    for tower in towers:
+        _assert_paper_bound(*tower)

@@ -1,16 +1,19 @@
 from __future__ import annotations
 
 import ast
+import hashlib
 import random
 import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import tracerepair
 from tracerepair import linalg
-from tracerepair.field import FieldTower, construct_field
+from tracerepair.field import TABLE_LIMIT, FieldTower, construct_field, is_prime
 from tracerepair.oracle import VERIFICATION_FIELDS
 
 
@@ -46,6 +49,112 @@ def test_construction_deterministic() -> None:
     assert a.modulus == b.modulus
     assert a.primitive_element == b.primitive_element
     assert a._antilog == b._antilog
+
+
+# SHA-256 of repr((modulus, primitive element, _antilog, _log, _zech)),
+# _zech None for p = 2.  Computed with the earlier construction, which
+# multiplied digit lists, so the shift-and-reduce walk must reproduce
+# its tables exactly.
+TABLE_DIGESTS = {
+    (2, 1, 1): "a370499fc1a922e9ff7c7001703de4285b4866037e2333b5a4636adc5ae3dd6d",
+    (2, 1, 2): "3a04a3e517b98e8ec20de6a428256739e5e44e3d939004ded47b04b1eb953936",
+    (2, 3, 2): "9bf60258288461bb576f468fddd10b9145f05335421093cf65a5ed7c60477f22",
+    (2, 4, 2): "39a6c0caf97cb074bdc60f3c5b51027ceef22a1f5d57b8cd48487a7f6f92b230",
+    (2, 2, 4): "39a6c0caf97cb074bdc60f3c5b51027ceef22a1f5d57b8cd48487a7f6f92b230",
+    (2, 5, 2): "ffddbddde99f61afb4da449fd02aa9dead9234261ee47c8d7935fba2ba24a35d",
+    (2, 6, 2): "733c80330f1ce8d497df4496a3340ab9020e64be385de04d4eca758a7592ff09",
+    (2, 4, 4): "e40b1ef588177d11dbb61d5b2a7c6064108e95bbd123552eea4422a1583c479a",
+    (3, 1, 1): "cd3b023a6580c8eff4a47d4288cc4087f945a854e8fa46dd28d360a814a005e1",
+    (7, 1, 1): "66d6e939c09fe2122cd98bf268885a2a9667471397c8c4342e7254aabec928b7",
+    (41, 1, 1): "3991a59d452e5d2f0f7c531c6f8bdc802aaeb4d2f45de51f05cf1daf55d3b1d6",
+    (3, 1, 2): "9e67130087306a47ed512b51df0c9d17f8f3e51ef90664665961a09f95f71c60",
+    (5, 1, 2): "3dd77b7291b078db29b150322e4926354e1739af5090c3b7e2ce866e84eda648",
+    (13, 1, 2): "e7868e2234f9fd409245633b2d53b5951dbb0625849c19250d3b7280ddefaa5f",
+    (17, 1, 2): "77252d899eb2092b82792db1120e7d366a17c11ba27c49665ce36637d4ec0f4d",
+    (37, 1, 2): "1b92c1383c2e259d8b2fb969d18566f0d5cdc08ca59acaa9712e4118aac9e4c3",
+    (101, 1, 2): "851d76ef2164f5ec46f4160b76116ff9634f5651de27b869caae4edac12e39e5",
+    (7, 1, 3): "ae85f626b4dff95e51878e4d31d4a34da52112bfcb93545677ace5e6910a011d",
+    (13, 1, 3): "e82adcb3026213f7ee8a0b655902dd7ba70864a42d8acbc443f7f90b630a4ab2",
+    (31, 1, 3): "dd348061e91a621d5d043e3158eb76b4a6c504d6a5c32190217e6e701c2af995",
+    (5, 1, 4): "fc6889ecac116de495db5a07829be74f7c17631c3329e36a70686c443fd7b6a8",
+    (11, 1, 4): "618dede1f7392d5381a2344664113924a8831a91d4d49d42f06be51af0e8e1d1",
+    (3, 1, 5): "984981547a424a8c4a0faf22437c46522f374dda9c9e05a2346fc5ef38808bc2",
+    (3, 2, 5): "91e74b16d423471a414511e8b1b359041e4d0fdd77306833da629ce46755243e",
+}
+
+
+@pytest.mark.parametrize("tower", sorted(TABLE_DIGESTS))
+def test_tables_match_golden_digests(tower) -> None:
+    """x primitive (GF(64), g = 2) or not (GF(256), g = 3), degree 1 to 10,
+    p from 2 to 101, and GF(2^16)."""
+    ctx = construct_field(*tower)
+    tables = (ctx.modulus, ctx.primitive_element, ctx._antilog, ctx._log,
+              getattr(ctx, "_zech", None))
+    assert hashlib.sha256(repr(tables).encode()).hexdigest() == TABLE_DIGESTS[tower]
+
+
+def _schoolbook_mul(x: int, y: int, modulus, p: int) -> int:
+    """x y modulo the modulus by digit lists, independent of the construction."""
+    xs, ys = _digits_of(x, p), _digits_of(y, p)
+    prod = [0] * (len(xs) + len(ys))
+    for i, a in enumerate(xs):
+        for j, b in enumerate(ys):
+            prod[i + j] += a * b
+    degree = len(modulus) - 1
+    for i in reversed(range(degree, len(prod))):
+        c = prod[i] % p
+        for j, f in enumerate(modulus):
+            prod[i - degree + j] -= c * f
+    return sum(c % p * p ** i for i, c in enumerate(prod[:degree]))
+
+
+def _digits_of(x: int, p: int) -> list[int]:
+    out = []
+    while x:
+        x, r = divmod(x, p)
+        out.append(r)
+    return out
+
+
+@settings(max_examples=150)
+@given(st.integers(-3, 45), st.integers(-2, 6), st.integers(-2, 6))
+@example(2, 1, 21)                # 2^21: one degree over the limit
+@example(2, 3, 7)
+@example(1031, 1, 2)              # the smallest p with p^2 over the limit
+@example(1048583, 1, 1)           # the smallest prime over the limit
+@example(1048576, 1, 1)
+@example(3, 1, 13)
+@example(0, 1, 1)
+@example(1, 1, 1)
+@example(-7, 1, 2)
+@example(9, 1, 2)                 # a prime power is not a prime
+@example(2, 0, 3)
+@example(2, 3, -1)
+@example(1009, 1, 1)              # degree 1: plain products mod p
+@example(41, 1, 1)
+@example(37, 1, 2)                # p over 36
+@example(101, 1, 2)
+@example(13, 1, 4)                # degree 4, digits up to 12
+@example(3, 2, 5)                 # a primitive element of 4 digits
+def test_construct_field_returns_a_tower_or_refuses(p, m, t) -> None:
+    """Any ints give a tower or ValueError, and a tower's walk agrees with
+    schoolbook products."""
+    if m >= 1 and t >= 1 and is_prime(p) and 1 << 16 < p ** (m * t) <= TABLE_LIMIT:
+        return  # admitted but slow to build; the examples cover the paths
+    try:
+        ctx = construct_field(p, m, t)
+    except ValueError:
+        return
+    n = p ** (m * t)
+    assert ctx.order == n and ctx.modulus[-1] == 1 and len(ctx.modulus) == m * t + 1
+    antilog = ctx._antilog[:n - 1]
+    assert sorted(antilog) == list(range(1, n))
+    assert all(ctx._log[x] == e for e, x in enumerate(antilog))
+    g = ctx.primitive_element
+    assert ctx.exp(1) == g
+    rng = random.Random(n)
+    for e in rng.sample(range(n - 1), min(n - 1, 40)):
+        assert ctx.exp(e + 1) == _schoolbook_mul(antilog[e], g, ctx.modulus, p)
 
 
 def test_log_antilog_roundtrip(gf9, gf64_over_gf8) -> None:

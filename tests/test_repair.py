@@ -561,13 +561,16 @@ def test_bandwidth_table_gf9(gf9) -> None:
         (5, 10, 8, 7),
         (6, 12, 8, 8),
     ]
+    # the coset collection stands in for the tower
+    assert bandwidth_table(enumerate_cosets(3, 2), 6) == rows
 
 
 def test_bandwidth_table_validates(gf9) -> None:
-    with pytest.raises(ValueError):
-        bandwidth_table(gf9, 0)
-    with pytest.raises(ValueError):
-        bandwidth_table(gf9, 7)
+    for tower in (gf9, enumerate_cosets(3, 2)):
+        with pytest.raises(ValueError):
+            bandwidth_table(tower, 0)
+        with pytest.raises(ValueError):
+            bandwidth_table(tower, 7)
 
 
 # -- serialization --------------------------------------------------
