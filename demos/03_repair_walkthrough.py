@@ -30,27 +30,26 @@ fc = filter_cosets(enumerate_cosets(ctx.q, ctx.t), k)
 plan = build_plan(ctx, fc, r=0)
 checks = [a for coset in fc.selected for a in coset.elements]
 print(f"d = {plan.dim} checks, exponents A = {checks}")
-print(f"silent window: points {plan.omitted}")
-print(f"helpers contacted: {len(plan.helpers)} of {ctx.order - 1}")
+print(f"silent window: w^e for e in {plan.omitted_exps}")
+print(f"helpers contacted: w^e for e in {plan.helper_exps}, "
+      f"{len(plan.helper_exps)} of {ctx.order - 1}")
 print()
 
-# Step 1: each contacted helper at point a sends trace(f(a)/a), one
-# GF(3) symbol instead of one GF(9) symbol.
-downloaded = {}
-for e in plan.helper_exps:
-    a = ctx.exp(e)
-    downloaded[a] = ctx.trace(ctx.mul(lost.value_at(e + 1), ctx.inv(a)))
+# Step 1: the helper at w^e sends trace(f(w^e)/w^e), one GF(3) symbol
+# instead of one GF(9) symbol.  The downloads are listed in helper order.
+downloaded = [ctx.trace(ctx.mul(lost.value_at(e + 1), ctx.inv(ctx.exp(e))))
+              for e in plan.helper_exps]
 print(f"downloaded traces: {downloaded}")
 
-# Step 2: the d checks pin down the silent window's traces.
-recovered = recover_missing_traces(plan, downloaded)
-print(f"recovered window:  {recovered}")
+# Step 2: the d checks pin down the silent window's traces; entry e of
+# the trace vector belongs to w^e.
+traces = recover_missing_traces(plan, downloaded)
+print(f"recovered window:  {[traces[e] for e in plan.omitted_exps]}")
+print(f"trace vector:      {traces}")
 
-# Step 3: with all n-1 traces in hand, f(0) = -sum_a a * trace(f(a)/a)
+# Step 3: with all n-1 traces in hand, f(0) = -sum_e w^e * trace(f(w^e)/w^e)
 # produces the erased value exactly.
-full = dict(downloaded)
-full.update(recovered)
-value = gw_finish(ctx, full, k)
+value = gw_finish(ctx, traces, k)
 print(f"rebuilt f(0) = {value}, truth {cw.values[0]}")
 assert value == cw.values[0]
 print()
@@ -74,9 +73,9 @@ print(f"full-trace:      {ctx.order - 1} GF(3) symbols = "
 print(f"(cap on k for trace repair here: {gw_max_k(ctx)})")
 print()
 
-# Nothing above depends on the erased point being 0.  At x0, helper a
-# is read in place at x0 + a and ships trace(f(x0 + a)/a), and
-# f(x0) = -sum_a a * trace(f(x0 + a)/a); the same plan serves.
+# Nothing above depends on the erased point being 0.  At x0, the helper
+# at w^e is read in place at x0 + w^e and ships trace(f(x0 + w^e)/w^e),
+# and f(x0) = -sum_e w^e * trace(f(x0 + w^e)/w^e); the same plan serves.
 pos = 5
 value3, report = repair_pipeline(ctx, k, 0, erase(cw, pos), plan)
 assert value3 == cw.values[pos]

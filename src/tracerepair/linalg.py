@@ -1,14 +1,10 @@
-"""Exact dense linear algebra over a finite field context.
+"""The window block's LU factorization over a finite field context.
 
-Matrices are lists of row lists of field elements (ints).  Every routine
-takes the field as its first argument.  The LU factorization serves the
-repair plan: build_plan factors the window block once, in closed form
-from Newton's form of a Vandermonde matrix, and recover_missing_traces
-solves with it once per repair through the field's sum_powers kernel.
-rank and mat_mul stay scalar add/mul/inv code, so the oracle that
-checks the repair path through them shares no kernel with it.  rank
-serves F and, unchanged, B-valued matrices, since B is closed under the
-field operations.
+build_plan factors the window block once, in closed form from Newton's
+form of a Vandermonde matrix, and recover_missing_traces solves with it
+once per repair through the field's sum_powers kernel.  The scalar
+rank and mat_mul that check it live in the oracle, which shares no
+kernel with the repair path.
 """
 
 from __future__ import annotations
@@ -16,22 +12,6 @@ from __future__ import annotations
 
 class SingularMatrixError(ValueError):
     pass
-
-
-def mat_mul(ctx, a, b) -> list:
-    add, mul = ctx.add, ctx.mul
-    cols = list(zip(*b))
-    out = []
-    for row in a:
-        orow = []
-        for col in cols:
-            acc = 0
-            for x, y in zip(row, col):
-                if x and y:
-                    acc = add(acc, mul(x, y))
-            orow.append(acc)
-        out.append(orow)
-    return out
 
 
 class LUFactorization:
@@ -100,30 +80,3 @@ class LUFactorization:
             lx[i] = log(v) if v else -1
         return x
 
-
-def rank(ctx, mat) -> int:
-    if not mat:
-        return 0
-    a = [list(row) for row in mat]
-    nrows, ncols = len(a), len(a[0])
-    mul, sub, inv = ctx.mul, ctx.sub, ctx.inv
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, nrows) if a[i][col]), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        prow = a[r]
-        inv_p = inv(prow[col])
-        for i in range(r + 1, nrows):
-            row = a[i]
-            if not row[col]:
-                continue
-            f = mul(row[col], inv_p)
-            for j in range(col, ncols):
-                if prow[j]:
-                    row[j] = sub(row[j], mul(f, prow[j]))
-        r += 1
-        if r == nrows:
-            break
-    return r

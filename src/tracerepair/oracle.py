@@ -24,7 +24,6 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from . import linalg
 from .cosets import FilteredCosets, enumerate_cosets, filter_cosets
 from .field import FieldTower, check_order_limit, construct_field
 from .repair import RepairPlan, build_plan, repair_pipeline
@@ -51,6 +50,54 @@ _EXHAUSTIVE_LIMIT = 20000
 VERIFY_LIMIT = 81
 
 
+# Scalar add/mul/inv linear algebra: the oracle checks the repair path
+# through it and so shares no kernel with that path.  rank serves F and,
+# unchanged, B-valued matrices, since B is closed under the field operations.
+
+def mat_mul(ctx, a, b) -> list:
+    add, mul = ctx.add, ctx.mul
+    cols = list(zip(*b))
+    out = []
+    for row in a:
+        orow = []
+        for col in cols:
+            acc = 0
+            for x, y in zip(row, col):
+                if x and y:
+                    acc = add(acc, mul(x, y))
+            orow.append(acc)
+        out.append(orow)
+    return out
+
+
+def rank(ctx, mat) -> int:
+    if not mat:
+        return 0
+    a = [list(row) for row in mat]
+    nrows, ncols = len(a), len(a[0])
+    mul, sub, inv = ctx.mul, ctx.sub, ctx.inv
+    r = 0
+    for col in range(ncols):
+        piv = next((i for i in range(r, nrows) if a[i][col]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        prow = a[r]
+        inv_p = inv(prow[col])
+        for i in range(r + 1, nrows):
+            row = a[i]
+            if not row[col]:
+                continue
+            f = mul(row[col], inv_p)
+            for j in range(col, ncols):
+                if prow[j]:
+                    row[j] = sub(row[j], mul(f, prow[j]))
+        r += 1
+        if r == nrows:
+            break
+    return r
+
+
 def brute_dim(ctx: FieldTower, k: int) -> int:
     """Nullity over B of the dual-membership system, from first principles.
 
@@ -65,7 +112,7 @@ def brute_dim(ctx: FieldTower, k: int) -> int:
     mod = n - 1
     rows = [[ctx.trace(ctx.exp(l + e * (j - 1))) for e in range(mod)]
             for j in range(k) for l in range(ctx.t)]
-    return mod - linalg.rank(ctx, rows)
+    return mod - rank(ctx, rows)
 
 
 def rank_over_base(ctx: FieldTower, mat) -> int:
@@ -76,7 +123,7 @@ def rank_over_base(ctx: FieldTower, mat) -> int:
         for x in row:
             if not (0 <= x < ctx.order and ctx.in_base_field(x)):
                 raise ValueError(f"entry {x} is not in the base field")
-    return linalg.rank(ctx, mat)
+    return rank(ctx, mat)
 
 
 def brute_repair_check(ctx: FieldTower, k: int, r: int, trials: int | None = None,
@@ -180,8 +227,8 @@ def window_block(plan: RepairPlan) -> list[list[int]]:
 def verify_factorization(plan: RepairPlan) -> bool:
     """Check T restricted to the plan's window equals V E, entry by entry."""
     ctx = plan.ctx
-    prod = linalg.mat_mul(ctx, vander_blocks(ctx, plan.cosets), window_block(plan))
-    window = plan.omitted
+    prod = mat_mul(ctx, vander_blocks(ctx, plan.cosets), window_block(plan))
+    window = [ctx.exp(e) for e in plan.omitted_exps]
     for poly, prow in zip(check_polys(ctx, plan.cosets), prod):
         if [poly.eval(ctx, x) for x in window] != prow:
             return False

@@ -1,8 +1,9 @@
 """Single-erasure repair of any position from base-field traces.
 
-The erased position holds f(x0).  Every helper at x0 + a, a != 0,
-normally ships one B-symbol, tau_a = trace(f(x0 + a) / a), and the
-Guruswami-Wootters recombination f(x0) = -sum over a of a * tau_a
+The erased position holds f(x0).  Helpers and window are named by
+exponent, as in the paper: the helper at x0 + omega^e normally ships
+one B-symbol, tau_e = trace(f(x0 + omega^e) / omega^e), and the
+Guruswami-Wootters recombination f(x0) = -sum over e of omega^e * tau_e
 rebuilds the erased value.  Nothing depends on where x0 lies: the
 helper traces of f at x0 are those of g(x) = f(x0 + x) at 0, and g has
 the degree of f, so one plan serves every position.
@@ -10,7 +11,7 @@ the degree of f, so one plan serves every position.
 The selected cyclotomic cosets give a set A of exponents, and for each
 a in A the codeword satisfies the check
 
-    sum over e of omega^(a e) * tau_e = 0,   tau_e = tau_(omega^e).
+    sum over e of omega^(a e) * tau_e = 0.
 
 A window of d = |A| consecutive powers of the primitive element can
 therefore have its traces reconstructed from everyone else instead of
@@ -23,7 +24,8 @@ B, so the check sum at a q is the q-th power of the one at a, and each
 selected coset costs one evaluation at its first exponent.  A download
 outside B is refused, since the fold would turn it into a wrong value.
 With d = 0 the window, E and the substitutions are empty.  The finish
-f(x0) is minus the same sum at a = 1 over all n - 1 traces.
+is minus the same sum at a = 1 over the trace vector, the list whose
+entry e is tau_e.
 """
 
 from __future__ import annotations
@@ -49,14 +51,6 @@ class RepairPlan:
     omitted_exps: tuple[int, ...]   # window order, may wrap
     helper_exps: tuple[int, ...]    # ascending
     _e_lu: object = dc_field(repr=False)
-
-    @property
-    def omitted(self) -> tuple[int, ...]:
-        return tuple(self.ctx.exp(e) for e in self.omitted_exps)
-
-    @property
-    def helpers(self) -> tuple[int, ...]:
-        return tuple(self.ctx.exp(e) for e in self.helper_exps)
 
 
 def gw_max_k(ctx: FieldTower | CosetCollection) -> int:
@@ -84,35 +78,29 @@ def build_plan(ctx: FieldTower, fc: FilteredCosets, r: int) -> RepairPlan:
     mod = n - 1
 
     omitted_exps = tuple((r + c) % mod for c in range(d))
-    window = set(omitted_exps)
-    helper_exps = tuple(e for e in range(mod) if e not in window)
+    helper_exps = tuple(e for e in range(mod) if (e - r) % mod >= d)
     # E: rows omega^(a (r + c)), c < d, one per a in A
     exps = [a for coset in fc.selected for a in coset.elements]
     return RepairPlan(ctx, fc, k, r, d, omitted_exps, helper_exps,
                       linalg.LUFactorization(ctx, exps, r))
 
 
-def recover_missing_traces(plan: RepairPlan, downloaded) -> dict:
-    """Reconstruct the window traces from the downloaded ones.
+def recover_missing_traces(plan: RepairPlan, downloaded) -> list:
+    """Fill in the window: the full trace vector from the helpers' traces.
 
-    Returns {point: trace} for the d window points.  A downloaded trace
-    outside B, or no field element at all, raises ValueError naming its
+    downloaded lists the traces in plan.helper_exps order; entry e of
+    the result is tau_e.  A dict or a wrong length raises ValueError, as
+    does a trace outside B, or no field element at all, naming its
     helper: the Frobenius fold below holds only for B-valued traces.
     """
     ctx = plan.ctx
-    helpers = plan.helpers
-    if set(downloaded) != set(helpers):
-        raise ValueError("downloaded traces must cover exactly the helper set")
-    for e, a in zip(plan.helper_exps, helpers):
-        v = downloaded[a]
+    if isinstance(downloaded, dict) or len(downloaded) != len(plan.helper_exps):
+        raise ValueError("downloaded traces must list the helpers in helper_exps order")
+    for e, v in zip(plan.helper_exps, downloaded):
         if not (0 <= v < ctx.order and ctx.in_base_field(v)):
             raise ValueError(f"trace from helper w^{e} is not in the base field")
     mod = ctx.order - 1
-    logs = []
-    for e, a in zip(plan.helper_exps, helpers):
-        v = downloaded[a]
-        if v:
-            logs.append((e, ctx.log(v)))
+    logs = [(e, ctx.log(v)) for e, v in zip(plan.helper_exps, downloaded) if v]
     # The check sum S_a = sum over e of omega^(a e) * tau_e is one
     # sum_powers call.  Its coset is listed a, a q, a q^2, ..., and each
     # tau_e is fixed by x -> x^q, so S_(a q) = S_a^q: one evaluation per
@@ -126,29 +114,31 @@ def recover_missing_traces(plan: RepairPlan, downloaded) -> dict:
     window = plan._e_lu.solve(rhs)
     if not all(map(ctx.in_base_field, window)):
         raise AssertionError("recovered trace left the base field")
-    return dict(zip(plan.omitted, window))
+    traces = [0] * mod
+    for e, v in zip(plan.helper_exps + plan.omitted_exps, [*downloaded, *window]):
+        traces[e] = v
+    return traces
 
 
 def gw_finish(ctx: FieldTower, traces, k: int) -> int:
-    """Recombine a full trace vector {a: trace(f(x0 + a) / a)} into f(x0).
+    """Recombine the trace vector into f(x0).
 
+    Entry e of traces is tau_e = trace(f(x0 + omega^e) / omega^e).
     Expanding f(x0) over the dual basis and exchanging the sums gives
-    f(x0) = -sum over a of a * trace(f(x0 + a) / a): minus the check sum
-    at exponent 1.  Every trace must lie in B, or the sum is not f(x0).
+    f(x0) = -sum over e of omega^e * tau_e: minus the check sum at
+    exponent 1.  Every trace must lie in B, or the sum is not f(x0).
     """
     if not 1 <= k <= gw_max_k(ctx):
         raise ValueError(f"k must be in [1, {gw_max_k(ctx)}] for trace repair, got {k}")
     n = ctx.order
-    entries = dict(traces)
+    if isinstance(traces, dict) or len(traces) != n - 1:
+        raise ValueError("need traces for every nonzero point, in exponent order")
     # compared before any table lookup, which would fail or wrap outside [0, n)
-    if len(entries) != n - 1 or not all(0 < a < n for a in entries):
-        raise ValueError("need traces for every nonzero point")
-    if not all(0 <= v < n for v in entries.values()):
+    if not all(0 <= v < n for v in traces):
         raise ValueError("traces must be field elements")
-    if not all(map(ctx.in_base_field, set(entries.values()))):
+    if not all(map(ctx.in_base_field, traces)):
         raise ValueError("traces must lie in the base field")
-    log = ctx.log
-    return ctx.neg(ctx.sum_powers([log(a) + log(v) for a, v in entries.items() if v]))
+    return ctx.neg(ctx.sum_powers([e + ctx.log(v) for e, v in enumerate(traces) if v]))
 
 
 @dataclass(frozen=True)
@@ -162,17 +152,18 @@ def repair_pipeline(ctx: FieldTower, k: int, r: int, cw: Codeword,
                     plan: RepairPlan | None = None) -> tuple[int, BandwidthReport]:
     """Repair the one erased position of cw, touching only helper traces.
 
-    With x0 the erased point, helper a != 0 is read in place at x0 + a
-    and ships trace(f(x0 + a) / a); the window's traces are recovered
-    from the others, and f(x0) = -sum over a of a * trace(f(x0 + a) / a).
+    With x0 the erased point, the helper at exponent e is read in place
+    at x0 + omega^e and ships tau_e = trace(f(x0 + omega^e) / omega^e);
+    the window's traces are recovered from the others, and
+    f(x0) = -sum over e of omega^e * tau_e.
     Returns the recovered value and the download accounting.  A prebuilt
     plan for the same (k, r) may be passed to amortise setup across many
     erasures, at any positions.
     """
     if cw.ctx is not ctx:
         raise ValueError("codeword built over a different field")
-    if cw.k != k:
-        raise ValueError(f"codeword has message length {cw.k}, not {k}")
+    if type(k) is not int or cw.k != k:
+        raise ValueError(f"codeword has message length {cw.k}, not {k!r}")
     if len(cw.erased) != 1:
         raise ValueError("exactly one position must be erased")
     if plan is None:
@@ -180,20 +171,18 @@ def repair_pipeline(ctx: FieldTower, k: int, r: int, cw: Codeword,
         plan = build_plan(ctx, filter_cosets(cc, k), r)
     elif plan.ctx is not ctx:
         raise ValueError("plan built over a different field")
-    elif plan.k != k or plan.r != r:
+    elif plan.k != k or plan.r != r or type(r) is not int:
         raise ValueError("plan does not match requested (k, r)")
 
     (position,) = cw.erased
     x0 = position_point(ctx, position)
     add, mul, inv, log, trace = ctx.add, ctx.mul, ctx.inv, ctx.log, ctx.trace
-    entries = {}
+    downloaded = []
     for e in plan.helper_exps:
         a = ctx.exp(e)
         x = add(x0, a)
-        entries[a] = trace(mul(cw.value_at(log(x) + 1 if x else 0), inv(a)))
-
-    entries.update(recover_missing_traces(plan, entries))
-    value = gw_finish(ctx, entries, k)
+        downloaded.append(trace(mul(cw.value_at(log(x) + 1 if x else 0), inv(a))))
+    value = gw_finish(ctx, recover_missing_traces(plan, downloaded), k)
     nsym = len(plan.helper_exps)
     report = BandwidthReport(nsym, nsym, nsym * ctx.bits_per_symbol)
     return value, report
@@ -203,11 +192,11 @@ def repair_at(ctx: FieldTower, k: int, r: int, cw: Codeword, position: int,
               plan: RepairPlan | None = None) -> tuple[int, BandwidthReport]:
     """Repair cw at position, which must be its one erasure.
 
-    The value is f(x0) = -sum over a of a * trace(f(x0 + a) / a) at the
+    The value is f(x0) = -sum over e of omega^e * tau_e at the
     position's point x0, as computed by repair_pipeline.
     """
-    if cw.erased != {position}:
-        raise ValueError(f"exactly position {position} must be erased")
+    if type(position) is not int or cw.erased != {position}:
+        raise ValueError(f"exactly position {position!r} must be erased")
     return repair_pipeline(ctx, k, r, cw, plan)
 
 

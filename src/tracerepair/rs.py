@@ -24,8 +24,8 @@ from .field import FieldTower, _prime_factors
 
 def position_point(ctx: FieldTower, j: int):
     """Field element evaluated at position j."""
-    if not 0 <= j < ctx.order:
-        raise ValueError(f"position {j} out of range")
+    if type(j) is not int or not 0 <= j < ctx.order:
+        raise ValueError(f"position {j!r} out of range")
     return 0 if j == 0 else ctx.exp(j - 1)
 
 
@@ -100,6 +100,8 @@ def encode(ctx: FieldTower, coeffs) -> Codeword:
 
 
 def erase(cw: Codeword, j: int) -> Codeword:
+    if type(j) is not int:
+        raise ValueError(f"position must be an integer, got {j!r}")
     if j in cw.erased:
         raise ValueError(f"position {j} already erased")
     if not 0 <= j < cw.n:

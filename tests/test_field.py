@@ -354,3 +354,20 @@ def test_package_imports_only_itself_and_the_standard_library() -> None:
                 continue
             for name in names:
                 assert name.partition(".")[0] in sys.stdlib_module_names, (path.name, name)
+
+
+def test_package_modules_use_every_name_they_import() -> None:
+    # a deletion that leaves an import behind fails here; __init__ imports
+    # only to re-export, and __future__ imports are directives
+    src = Path(tracerepair.__file__).resolve().parent
+    for path in sorted(src.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {alias.asname or alias.name.partition(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert imported <= used, (path.name, sorted(imported - used))

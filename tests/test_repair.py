@@ -5,14 +5,17 @@ import itertools
 import json
 import random
 import time
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tracerepair import linalg, repair
 from tracerepair.cosets import enumerate_cosets, filter_cosets
 from tracerepair.field import construct_field
-from tracerepair.oracle import (rank_over_base, trace_matrix, trace_poly,
-                                vander_blocks, verify_factorization,
+from tracerepair.oracle import (mat_mul, rank, rank_over_base, trace_matrix,
+                                trace_poly, vander_blocks, verify_factorization,
                                 window_block)
 from tracerepair.repair import (bandwidth_table, build_plan, gw_finish,
                                 gw_max_k, plan_from_dict, plan_to_dict,
@@ -26,11 +29,9 @@ def _plan(ctx, k, r):
 
 
 def _direct_traces(ctx, cw):
-    out = {}
-    for e in range(ctx.order - 1):
-        a = ctx.exp(e)
-        out[a] = ctx.trace(ctx.mul(cw.values[e + 1], ctx.inv(a)))
-    return out
+    """The trace vector of cw at 0: entry e is trace(f(omega^e) / omega^e)."""
+    return [ctx.trace(ctx.mul(cw.values[e + 1], ctx.inv(ctx.exp(e))))
+            for e in range(ctx.order - 1)]
 
 
 # -- trace polynomials (the oracle's check vectors) -----------------
@@ -143,8 +144,7 @@ def test_plan_shape_gf9_k3(gf9) -> None:
     plan = _plan(gf9, 3, 0)
     assert plan.dim == 3
     assert plan.omitted_exps == (0, 1, 2)
-    assert plan.omitted == (1, gf9.exp(1), gf9.exp(2))
-    assert len(plan.helper_exps) == 5
+    assert plan.helper_exps == (3, 4, 5, 6, 7)
 
 
 def test_plan_factor_matrices_gf9_k3(gf9) -> None:
@@ -175,8 +175,8 @@ def test_factor_matrices_invertible(gf9, gf64_over_gf8) -> None:
         for k in ks:
             plan = _plan(ctx, k, 2)
             if plan.dim:
-                assert linalg.rank(ctx, vander_blocks(ctx, plan.cosets)) == plan.dim
-                assert linalg.rank(ctx, window_block(plan)) == plan.dim
+                assert rank(ctx, vander_blocks(ctx, plan.cosets)) == plan.dim
+                assert rank(ctx, window_block(plan)) == plan.dim
 
 
 def test_plan_solve_inverts_window_block_every_plan(gf9, gf16_over_gf4,
@@ -190,7 +190,7 @@ def test_plan_solve_inverts_window_block_every_plan(gf9, gf16_over_gf4,
                 plan = build_plan(ctx, fc, r)
                 b = [rng.randrange(ctx.order) for _ in range(plan.dim)]
                 x = plan._e_lu.solve(b)
-                assert linalg.mat_mul(ctx, window_block(plan), [[v] for v in x]) == [
+                assert mat_mul(ctx, window_block(plan), [[v] for v in x]) == [
                     [v] for v in b], (ctx, k, r)
 
 
@@ -219,11 +219,11 @@ def test_plan_and_repair_gf4096_within_bound() -> None:
 def test_degenerate_plan_no_window(gf4) -> None:
     plan = _plan(gf4, 2, 0)
     assert plan.dim == 0
-    assert plan.omitted == ()
-    assert len(plan.helper_exps) == 3
+    assert plan.omitted_exps == ()
+    assert plan.helper_exps == (0, 1, 2)
     assert verify_factorization(plan)
     truth = _direct_traces(gf4, encode(gf4, (3, 2)))
-    assert recover_missing_traces(plan, truth) == {}
+    assert recover_missing_traces(plan, truth) == truth
 
 
 def test_build_plan_validates(gf9) -> None:
@@ -252,9 +252,8 @@ def test_recover_matches_direct_traces_exhaustive(gf9) -> None:
     for coeffs in itertools.product(range(9), repeat=3):
         cw = encode(gf9, coeffs)
         truth = _direct_traces(gf9, cw)
-        downloaded = {a: truth[a] for a in plan.helpers}
-        got = recover_missing_traces(plan, downloaded)
-        assert got == {a: truth[a] for a in plan.omitted}
+        downloaded = [truth[e] for e in plan.helper_exps]
+        assert recover_missing_traces(plan, downloaded) == truth
 
 
 def test_recover_matches_direct_traces_random(gf64_over_gf8) -> None:
@@ -265,20 +264,22 @@ def test_recover_matches_direct_traces_random(gf64_over_gf8) -> None:
         for _ in range(60):
             cw = encode(ctx, tuple(rng.randrange(64) for _ in range(k)))
             truth = _direct_traces(ctx, cw)
-            got = recover_missing_traces(plan, {a: truth[a] for a in plan.helpers})
-            assert got == {a: truth[a] for a in plan.omitted}
+            got = recover_missing_traces(plan, [truth[e] for e in plan.helper_exps])
+            assert got == truth
 
 
 def test_recover_requires_exact_helper_cover(gf9) -> None:
     plan = _plan(gf9, 3, 0)
     cw = encode(gf9, (1, 2, 3))
     truth = _direct_traces(gf9, cw)
-    short = {a: truth[a] for a in plan.helpers[:-1]}
-    with pytest.raises(ValueError):
-        recover_missing_traces(plan, short)
-    extra = dict(truth)  # covers the window too
-    with pytest.raises(ValueError):
-        recover_missing_traces(plan, extra)
+    downloaded = [truth[e] for e in plan.helper_exps]
+    short = downloaded[:-1]
+    extra = truth  # covers the window too
+    # the old contract, {point: trace} over the helpers, is no sequence of traces
+    by_point = {gf9.exp(e): truth[e] for e in plan.helper_exps}
+    for bad in (short, extra, by_point):
+        with pytest.raises(ValueError, match="helper_exps order"):
+            recover_missing_traces(plan, bad)
 
 
 def test_one_factorization_per_plan_one_solve_per_repair(gf64_over_gf8,
@@ -346,9 +347,9 @@ def test_recover_refuses_non_base_download(p, m, t, k, monkeypatch) -> None:
         raise AssertionError("log taken before the base-field check")
 
     monkeypatch.setattr(ctx, "log", no_log)
-    for i, (e, a) in enumerate(zip(plan.helper_exps, plan.helpers)):
-        downloaded = {h: truth[h] for h in plan.helpers}
-        downloaded[a] = bad[i % len(bad)]
+    for i, e in enumerate(plan.helper_exps):
+        downloaded = [truth[h] for h in plan.helper_exps]
+        downloaded[i] = bad[i % len(bad)]
         with pytest.raises(ValueError, match=rf"helper w\^{e} "):
             recover_missing_traces(plan, downloaded)
 
@@ -366,8 +367,8 @@ def _recover_digest(p, m, t, k, r, draws=3):
     base = [0] + [ctx.exp(j * s) for j in range(ctx.q - 1)]
     out = []
     for _ in range(draws):
-        downloaded = {a: rng.choice(base) for a in plan.helpers}
-        out.append(sorted(recover_missing_traces(plan, downloaded).items()))
+        traces = recover_missing_traces(plan, [rng.choice(base) for _ in plan.helper_exps])
+        out.append(sorted((ctx.exp(e), traces[e]) for e in plan.omitted_exps))
     sizes = sorted({c.size for c in plan.cosets.selected})
     return sizes, hashlib.sha256(repr(out).encode()).hexdigest()
 
@@ -387,6 +388,60 @@ def _recover_digest(p, m, t, k, r, draws=3):
 ])
 def test_recover_golden_all_coset_sizes(p, m, t, k, r, sizes, digest) -> None:
     assert _recover_digest(p, m, t, k, r) == (sizes, digest)
+
+
+# -- the exponent-indexed contracts, as properties ------------------
+
+# B = GF(p) and larger, p = 2 and odd, up to the odd-p GF(343)/GF(7)
+CONTRACT_TOWERS = ((3, 1, 2), (2, 2, 2), (5, 1, 2), (2, 3, 2), (7, 1, 3))
+
+
+@cache
+def _contract_plan(tower, k, r):
+    return _plan(construct_field(*tower), k, r)
+
+
+@st.composite
+def _trace_vectors(draw):
+    """A plan with random k and r, and the true trace vector of a codeword at 0."""
+    tower = draw(st.sampled_from(CONTRACT_TOWERS))
+    ctx = construct_field(*tower)
+    k = draw(st.integers(1, gw_max_k(ctx)))
+    plan = _contract_plan(tower, k, draw(st.integers(0, ctx.order - 2)))
+    coeffs = draw(st.lists(st.integers(0, ctx.order - 1), min_size=k, max_size=k))
+    return plan, coeffs, _direct_traces(ctx, encode(ctx, coeffs))
+
+
+@settings(max_examples=60)
+@given(_trace_vectors())
+def test_recover_and_finish_give_back_the_truth(case) -> None:
+    plan, coeffs, truth = case
+    traces = recover_missing_traces(plan, [truth[e] for e in plan.helper_exps])
+    assert traces == truth
+    assert gw_finish(plan.ctx, traces, plan.k) == coeffs[0]
+
+
+@settings(max_examples=60)
+@given(_trace_vectors(), st.data())
+def test_recover_and_finish_refuse_malformed_vectors(case, data) -> None:
+    plan, _, truth = case
+    ctx, n = plan.ctx, plan.ctx.order
+    outsiders = [x for x in range(n) if not ctx.in_base_field(x)]
+    bad_value = st.one_of(st.integers(max_value=-1), st.integers(min_value=n),
+                          st.sampled_from(outsiders))
+    for exps, call in ((plan.helper_exps, lambda v: recover_missing_traces(plan, v)),
+                       (range(n - 1), lambda v: gw_finish(ctx, v, plan.k))):
+        vec = [truth[e] for e in exps]
+        size = len(vec)
+        length = data.draw(st.integers(0, size + 3).filter(lambda x: x != size))
+        bad = list(vec)
+        bad[data.draw(st.integers(0, size - 1))] = data.draw(bad_value)
+        # the old contract: the same traces keyed by their points
+        by_point = {ctx.exp(e): truth[e] for e in exps}
+        for wrong in ((vec * 2 + [0] * 3)[:length], by_point, bad):
+            # ValueError, never IndexError, KeyError or TypeError
+            with pytest.raises(ValueError):
+                call(wrong)
 
 
 # -- finishing ------------------------------------------------------
@@ -410,16 +465,12 @@ def test_gw_finish_random_large_k(gf9, gf64_over_gf8) -> None:
 @pytest.mark.parametrize("bad", [9, -1, 10 ** 6])
 def test_out_of_range_traces_refused(gf9, bad) -> None:
     plan = _plan(gf9, 3, 0)
-    truth = _direct_traces(gf9, encode(gf9, (5, 2, 7)))
-    a = plan.helpers[0]
-    as_value = {**truth, a: bad}
-    as_key = {(bad if x == a else x): v for x, v in truth.items()}
-    for traces in (as_value, as_key):
-        with pytest.raises(ValueError):
-            gw_finish(gf9, traces, 3)
-        downloaded = {x: v for x, v in traces.items() if x not in plan.omitted}
-        with pytest.raises(ValueError):
-            recover_missing_traces(plan, downloaded)
+    traces = _direct_traces(gf9, encode(gf9, (5, 2, 7)))
+    traces[plan.helper_exps[0]] = bad
+    with pytest.raises(ValueError):
+        gw_finish(gf9, traces, 3)
+    with pytest.raises(ValueError):
+        recover_missing_traces(plan, [traces[e] for e in plan.helper_exps])
 
 
 @pytest.mark.parametrize("p,m,t", [(3, 1, 2), (2, 2, 2)])
@@ -428,9 +479,11 @@ def test_gw_finish_refuses_traces_outside_base(p, m, t) -> None:
     truth = _direct_traces(ctx, encode(ctx, (5, 2, 7)))
     assert gw_finish(ctx, truth, 3) == 5
     outsider = next(x for x in range(ctx.order) if not ctx.in_base_field(x))
-    for a in truth:
+    for e in range(len(truth)):
+        traces = list(truth)
+        traces[e] = outsider
         with pytest.raises(ValueError, match="base field"):
-            gw_finish(ctx, {**truth, a: outsider}, 3)
+            gw_finish(ctx, traces, 3)
 
 
 def test_gw_finish_validates(gf9) -> None:
@@ -438,14 +491,20 @@ def test_gw_finish_validates(gf9) -> None:
     truth = _direct_traces(gf9, cw)
     with pytest.raises(ValueError):
         gw_finish(gf9, truth, 7)  # beyond the bound
-    zeros = {a: 0 for a in truth}
+    zeros = [0] * len(truth)
     for k in (0, -3):
         with pytest.raises(ValueError, match="k must be in"):
             gw_finish(gf9, zeros, k)
-    partial = dict(truth)
-    partial.popitem()
-    with pytest.raises(ValueError):
-        gw_finish(gf9, partial, 2)
+    for bad in (truth[:-1], truth + [0]):
+        with pytest.raises(ValueError, match="every nonzero point"):
+            gw_finish(gf9, bad, 2)
+    # the old contract {point: trace}: with t = 1 every point lies in B,
+    # so read as traces its keys would give a wrong value with no error
+    for ctx in (gf9, construct_field(5, 1, 1)):
+        cw = encode(ctx, (1, 2))
+        by_point = {ctx.exp(e): v for e, v in enumerate(_direct_traces(ctx, cw))}
+        with pytest.raises(ValueError, match="every nonzero point"):
+            gw_finish(ctx, by_point, 2)
 
 
 # -- full pipeline --------------------------------------------------
@@ -500,6 +559,25 @@ def test_pipeline_validates(gf9, gf4) -> None:
     other = encode(gf4, (1, 2))
     with pytest.raises(ValueError):
         repair_pipeline(gf9, 2, 0, erase(other, 0))
+
+
+def test_pipeline_refuses_non_int_k_r_and_position(gf9) -> None:
+    cw = encode(gf9, (1, 2, 3))
+    lost = erase(cw, 0)
+    plan = _plan(gf9, 3, 0)
+    for prebuilt in (None, plan):
+        for k, r in ((3, 0.0), (3, False), (3.0, 0), (True, 0)):
+            with pytest.raises(ValueError):
+                repair_pipeline(gf9, k, r, lost, plan=prebuilt)
+            with pytest.raises(ValueError):
+                repair_at(gf9, k, r, lost, 0, prebuilt)
+    with pytest.raises(ValueError, match="not '3'"):
+        repair_pipeline(gf9, "3", 0, lost, plan=plan)
+    # {1} == {True} == {1.0}, so only the type tells these from position 1
+    for position in (True, 1.0):
+        with pytest.raises(ValueError, match="must be erased"):
+            repair_at(gf9, 3, 0, erase(cw, 1), position, plan)
+    assert repair_at(gf9, 3, 0, erase(cw, 1), 1, plan)[0] == cw.values[1]
 
 
 def test_pipeline_refuses_plan_over_another_field(gf16_over_gf2, gf16_over_gf4,

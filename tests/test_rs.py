@@ -58,6 +58,15 @@ def test_erasure_bookkeeping(gf9) -> None:
         erase(gone, 0)
 
 
+def test_erase_and_position_point_refuse_non_int_positions(gf9) -> None:
+    cw = encode(gf9, (1, 2))
+    for j in (1.5, 1.0, True):
+        with pytest.raises(ValueError, match="must be an integer"):
+            erase(cw, j)
+        with pytest.raises(ValueError, match="out of range"):
+            position_point(gf9, j)
+
+
 def test_value_at_refuses_positions_outside_the_code(gf9) -> None:
     cw = encode(gf9, (5, 2, 7))
     assert cw.value_at(8) == cw.values[8]
