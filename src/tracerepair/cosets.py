@@ -59,6 +59,8 @@ def enumerate_cosets(q: int, t: int) -> CosetCollection:
     repeated multiplication by q; orbits are ordered by that smallest
     element.
     """
+    if type(q) is not int or type(t) is not int:
+        raise ValueError(f"q and t must be integers, got {q!r}, {t!r}")
     if t < 1:
         raise ValueError("t must be positive")
     check_table_limit(q, t)

@@ -20,10 +20,10 @@ is the same for every p, so results match digit-wise arithmetic exactly.
 
 The one vector kernel, sum_powers, works on discrete logs straight from
 the tables, with no method call per element.  It serves the leaf and
-combine steps of the encoding transform, the repair check sums, the
-Guruswami-Wootters finish and the LU's substitutions: a sum of powers
-of w is an XOR-reduce for p = 2 and a Zech chain on the log of the
-running sum for odd p.
+combine steps of the encoding transform, the baby and giant steps of
+the repair check sums, the Guruswami-Wootters finish and the LU's
+substitutions: a sum of powers of w is an XOR-reduce for p = 2 and a
+Zech chain on the log of the running sum for odd p.
 
 Construction is deterministic: the modulus is the monic irreducible
 polynomial of degree m*t with the smallest integer encoding, found by
@@ -82,6 +82,8 @@ def check_table_limit(base: int, exponent: int) -> None:
 
 def check_tower(p: int, m: int, t: int) -> None:
     """Refuse (p, m, t) naming no tower that can be built, cheapest check first."""
+    if any(type(x) is not int for x in (p, m, t)):
+        raise ValueError(f"p, m and t must be integers, got {p!r}, {m!r}, {t!r}")
     if m < 1 or t < 1:
         raise ValueError("m and t must be positive")
     check_table_limit(p, m * t)  # before the trial division in is_prime

@@ -89,8 +89,8 @@ def encode(ctx: FieldTower, coeffs) -> Codeword:
     k = len(coeffs)
     if not 1 <= k <= ctx.order:
         raise ValueError(f"message length must be in [1, {ctx.order}]")
-    if any(not 0 <= c < ctx.order for c in coeffs):
-        raise ValueError("coefficient out of range")
+    if any(type(c) is not int or not 0 <= c < ctx.order for c in coeffs):
+        raise ValueError(f"coefficients must be integers in [0, {ctx.order})")
     mod = ctx.order - 1
     cyclic = list(coeffs[:mod]) + [0] * (mod - k)
     if k > mod:

@@ -26,6 +26,9 @@ def test_enumerate_rejects_bad_input() -> None:
         enumerate_cosets(3, 0)
     with pytest.raises(ValueError, match="table limit"):
         enumerate_cosets(2, 21)  # 2^21 over the table limit
+    for q, t in ((4.0, 2), (4, 2.0), (4, True), (True, 3)):
+        with pytest.raises(ValueError, match="must be integers"):
+            enumerate_cosets(q, t)
 
 
 @pytest.mark.parametrize("q,t", SEVEN_FIELDS)

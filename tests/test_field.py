@@ -41,6 +41,9 @@ def test_construction_rejects_bad_input() -> None:
         construct_field(100000000000031, 1, 1)
     with pytest.raises(ValueError, match="table limit"):
         construct_field(3, 1, 10 ** 9)  # refused without computing 3^(10^9)
+    for args in ((2.0, 1, 2), (2, 1.5, 2), (2, 1, 2.0), (2, True, 2), (True, 1, 1)):
+        with pytest.raises(ValueError, match="must be integers"):
+            construct_field(*args)
 
 
 def test_construction_deterministic() -> None:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -14,9 +15,9 @@ from hypothesis import strategies as st
 from tracerepair import linalg, repair
 from tracerepair.cosets import enumerate_cosets, filter_cosets
 from tracerepair.field import construct_field
-from tracerepair.oracle import (mat_mul, rank, rank_over_base, trace_matrix,
-                                trace_poly, vander_blocks, verify_factorization,
-                                window_block)
+from tracerepair.oracle import (VERIFICATION_FIELDS, mat_mul, rank, rank_over_base,
+                                trace_matrix, trace_poly, vander_blocks,
+                                verify_factorization, window_block)
 from tracerepair.repair import (bandwidth_table, build_plan, gw_finish,
                                 gw_max_k, plan_from_dict, plan_to_dict,
                                 recover_missing_traces, repair_at,
@@ -307,11 +308,16 @@ def test_one_factorization_per_plan_one_solve_per_repair(gf64_over_gf8,
     assert calls == ["factor", "solve"]
 
 
-def test_one_check_sum_per_selected_coset(gf64_over_gf8, monkeypatch) -> None:
-    # GF(64)/GF(2) at k = 1 selects cosets of every size: 1, 2, 3 and 6
-    for ctx, k in ((gf64_over_gf8, 10), (construct_field(2, 1, 6), 1),
-                   (construct_field(7, 1, 3), 147)):
+def test_check_sums_split_only_where_it_pays(gf64_over_gf8, monkeypatch) -> None:
+    """c direct sums with no split (L = 1); N baby steps and c giant steps with one.
+
+    GF(64)/GF(2) at k = 1 selects cosets of every size: 1, 2, 3 and 6.
+    """
+    for ctx, k, splits in ((gf64_over_gf8, 10, False), (construct_field(2, 1, 6), 1, False),
+                           (construct_field(7, 1, 3), 147, True)):
         plan = _plan(ctx, k, 5)
+        mod = ctx.order - 1
+        assert (plan._stride < mod) == splits
         calls = []
         real_sum = ctx.sum_powers
         real_solve = linalg.LUFactorization.solve
@@ -331,8 +337,28 @@ def test_one_check_sum_per_selected_coset(gf64_over_gf8, monkeypatch) -> None:
         got, _ = repair_pipeline(ctx, k, 5, erase(cw, 0), plan=plan)
         assert got == cw.values[0]
         assert calls.count("solve") == 1
-        assert calls[:calls.index("solve")] == ["sum"] * len(plan.cosets.selected)
+        checks = len(plan.cosets.selected) + (mod if splits else 0)
+        assert calls[:calls.index("solve")] == ["sum"] * checks
         monkeypatch.undo()
+
+
+# the 7 VERIFICATION_FIELDS, then three towers whose half-rate plans split
+STRIDE_TOWERS = VERIFICATION_FIELDS + ((7, 1, 3), (2, 4, 2), (2, 5, 2))
+
+
+@pytest.mark.parametrize("p,m,t", STRIDE_TOWERS)
+def test_recover_is_the_same_for_every_split(p, m, t) -> None:
+    ctx = construct_field(p, m, t)
+    mod = ctx.order - 1
+    rng = random.Random(mod)
+    base = [x for x in range(ctx.order) if ctx.in_base_field(x)]
+    for k in sorted({1, gw_max_k(ctx) // 2}):
+        plan = _plan(ctx, k, rng.randrange(mod))
+        downloaded = [rng.choice(base) for _ in plan.helper_exps]
+        want = recover_missing_traces(plan, downloaded)
+        for stride in (x for x in range(1, mod + 1) if mod % x == 0):
+            split = dataclasses.replace(plan, _stride=stride)
+            assert recover_missing_traces(split, downloaded) == want
 
 
 @pytest.mark.parametrize("p,m,t,k", [(2, 1, 4, 2), (2, 1, 4, 4), (2, 3, 2, 10)])
@@ -427,8 +453,11 @@ def test_recover_and_finish_refuse_malformed_vectors(case, data) -> None:
     plan, _, truth = case
     ctx, n = plan.ctx, plan.ctx.order
     outsiders = [x for x in range(n) if not ctx.in_base_field(x)]
+    # an integral float passes the range check, and True passes every check
+    # but the type check
     bad_value = st.one_of(st.integers(max_value=-1), st.integers(min_value=n),
-                          st.sampled_from(outsiders))
+                          st.sampled_from(outsiders), st.integers(0, n - 1).map(float),
+                          st.floats(), st.booleans())
     for exps, call in ((plan.helper_exps, lambda v: recover_missing_traces(plan, v)),
                        (range(n - 1), lambda v: gw_finish(ctx, v, plan.k))):
         vec = [truth[e] for e in exps]
@@ -649,6 +678,9 @@ def test_bandwidth_table_validates(gf9) -> None:
             bandwidth_table(tower, 0)
         with pytest.raises(ValueError):
             bandwidth_table(tower, 7)
+        for k_max in (2.0, 2.5, True):
+            with pytest.raises(ValueError, match="k_max must be"):
+                bandwidth_table(tower, k_max)
 
 
 # -- serialization --------------------------------------------------

@@ -44,6 +44,9 @@ def test_encode_validates(gf9) -> None:
         encode(gf9, (0,) * 10)
     with pytest.raises(ValueError):
         encode(gf9, (9,))
+    for coeffs in ((1.5, 2), (True, 2), (1, 2.0)):
+        with pytest.raises(ValueError, match="must be integers"):
+            encode(gf9, coeffs)
 
 
 def test_erasure_bookkeeping(gf9) -> None:
