@@ -14,14 +14,21 @@ from tracerepair import (brute_dim, construct_field, enumerate_cosets,
 
 q, t = 3, 2
 cc = enumerate_cosets(q, t)
-print(f"orbits of x -> {q}x mod {q**t - 1}:")
+
+
+def reach(coset):
+    """The largest k whose filter keeps the coset, 0 if none does."""
+    return max((k for k in range(1, q ** t) if coset in filter_cosets(cc, k).selected),
+               default=0)
+
+
+# d(k) is the total size of the cosets whose reach is at least k.
+print(f"orbits of x -> {q}x mod {q**t - 1}, with their reach:")
 for coset in cc.cosets:
-    print(f"  rep {coset.rep}: {{{','.join(map(str, sorted(coset.elements)))}}}")
+    elements = ','.join(map(str, sorted(coset.elements)))
+    print(f"  rep {coset.rep}: {{{elements}}}  reach {reach(coset)}")
 print()
 
-# The filter drops the coset of 1 always; for k >= 2 it also drops
-# {0} and any coset whose largest exponent exceeds q^t - k.  What
-# survives is counted by size.
 for k in (1, 2, 3, 4):
     fc = filter_cosets(cc, k)
     kept = [sorted(c.elements) for c in fc.selected]

@@ -4,6 +4,11 @@ Pure integer arithmetic on exponents modulo q^t - 1; no field tables are
 needed here.  The dimension of the space of usable repair vectors for a
 given message length k falls out of a filtering rule on the cosets, and
 equals the number of helper symbols the repair scheme gets to skip.
+
+The rule gives each coset C one number, its reach: the largest k for
+which C is usable.  The coset of 1 has reach 0, {0} has reach 1, and
+any other coset has reach n - max C, with n = q^t.  So
+d(k) = sum of |C| over the cosets with reach(C) >= k.
 """
 
 from __future__ import annotations
@@ -83,12 +88,16 @@ def enumerate_cosets(q: int, t: int) -> CosetCollection:
     return CosetCollection(q, t, tuple(cosets))
 
 
-def filter_cosets(cc: CosetCollection, k: int) -> FilteredCosets:
-    """Keep the cosets whose exponents are usable for message length k.
+def _reach(c: Coset, n: int) -> int:
+    """The largest k for which c survives the filter, n = q^t."""
+    if c.rep == 1:
+        return 0
+    return 1 if c.rep == 0 else n - max(c.elements)
 
-    The coset containing 1 is always dropped.  For k >= 2 the coset {0}
-    and every coset reaching past q^t - k are dropped as well.
-    """
+
+def filter_cosets(cc: CosetCollection, k: int) -> FilteredCosets:
+    """Keep the cosets whose exponents are usable for message length k:
+    those whose reach is at least k."""
     n = cc.modulus + 1
     if n < 3:
         raise ValueError("field must have at least 3 elements")
@@ -98,12 +107,7 @@ def filter_cosets(cc: CosetCollection, k: int) -> FilteredCosets:
         raise ValueError(f"k must be in [1, {n - 1}], got {k}")
     selected, removed = [], []
     for c in cc.cosets:
-        if 1 in c.elements:
-            removed.append(c)
-        elif k >= 2 and (c.rep == 0 or max(c.elements) > n - k):
-            removed.append(c)
-        else:
-            selected.append(c)
+        (selected if _reach(c, n) >= k else removed).append(c)
     dim = sum(c.size for c in selected)
     return FilteredCosets(cc, k, tuple(selected), tuple(removed), dim)
 
@@ -111,18 +115,14 @@ def filter_cosets(cc: CosetCollection, k: int) -> FilteredCosets:
 def dimension_profile(cc: CosetCollection) -> tuple[int, ...]:
     """filter_cosets(cc, k).dim for k = 1, ..., q^t - 1, in one pass.
 
-    For k >= 2 a coset other than {0} and the coset of 1 survives while
-    k <= n - max(coset), so the cosets are bucketed by that reach and
-    every dimension is one suffix sum over the buckets.
+    The cosets are bucketed by reach, and every dimension is one suffix
+    sum over the buckets.
     """
     n = cc.modulus + 1
     if n < 3:
         raise ValueError("field must have at least 3 elements")
-    reach = [0] * (n + 1)
+    size_by_reach = [0] * n
     for c in cc.cosets:
-        if 1 in c.elements:
-            dim_1 = cc.modulus - c.size  # k = 1 keeps every other coset
-        elif c.rep:
-            reach[n - max(c.elements)] += c.size
-    at_least = list(accumulate(reversed(reach)))[::-1]  # at_least[k]: reach >= k
-    return (dim_1, *at_least[2:n])
+        size_by_reach[_reach(c, n)] += c.size
+    at_least = list(accumulate(reversed(size_by_reach)))[::-1]  # at_least[k]: reach >= k
+    return tuple(at_least[1:])

@@ -107,8 +107,8 @@ def brute_dim(ctx: FieldTower, k: int) -> int:
     n = ctx.order
     if n > _BRUTE_LIMIT:
         raise ValueError(f"field of order {n} too large for brute force")
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"k must be in [1, {n - 1}], got {k}")
+    if type(k) is not int or not 1 <= k <= n - 1:
+        raise ValueError(f"k must be in [1, {n - 1}], got {k!r}")
     mod = n - 1
     rows = [[ctx.trace(ctx.exp(l + e * (j - 1))) for e in range(mod)]
             for j in range(k) for l in range(ctx.t)]
@@ -121,8 +121,8 @@ def rank_over_base(ctx: FieldTower, mat) -> int:
         raise ValueError("matrix rows must all have the same length")
     for row in mat:
         for x in row:
-            if not (0 <= x < ctx.order and ctx.in_base_field(x)):
-                raise ValueError(f"entry {x} is not in the base field")
+            if not (type(x) is int and 0 <= x < ctx.order and ctx.in_base_field(x)):
+                raise ValueError(f"entry {x!r} is not in the base field")
     return rank(ctx, mat)
 
 
@@ -133,8 +133,8 @@ def brute_repair_check(ctx: FieldTower, k: int, r: int, trials: int | None = Non
     With trials=None the message space is swept exhaustively when it has
     at most _EXHAUSTIVE_LIMIT elements, else 1000 seeded random messages.
     """
-    if trials is not None and trials < 1:
-        raise ValueError(f"trials must be positive, got {trials}")
+    if trials is not None and (type(trials) is not int or trials < 1):
+        raise ValueError(f"trials must be a positive integer, got {trials!r}")
     n = ctx.order
     cc = enumerate_cosets(ctx.q, ctx.t)
     plan = build_plan(ctx, filter_cosets(cc, k), r)
@@ -173,9 +173,11 @@ class TracePoly:
 
 def trace_poly(ctx: FieldTower, fc: FilteredCosets, i: int, shift: int) -> TracePoly:
     """Check polynomial for selected coset i at the given shift."""
+    if type(i) is not int or not 0 <= i < len(fc.selected):
+        raise ValueError(f"coset index must be in [0, {len(fc.selected)}), got {i!r}")
     coset = fc.selected[i]
-    if not 0 <= shift < coset.size:
-        raise ValueError(f"shift must be in [0, {coset.size - 1}], got {shift}")
+    if type(shift) is not int or not 0 <= shift < coset.size:
+        raise ValueError(f"shift must be in [0, {coset.size - 1}], got {shift!r}")
     mod = ctx.order - 1
     q = ctx.q
     # The shift base must come from GF(q^s), the subfield a size-s coset

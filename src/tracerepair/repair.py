@@ -184,8 +184,8 @@ def gw_finish(ctx: FieldTower, traces, k: int) -> int:
     f(x0) = -sum over e of omega^e * tau_e: minus the check sum at
     exponent 1.  Every trace must lie in B, or the sum is not f(x0).
     """
-    if not 1 <= k <= gw_max_k(ctx):
-        raise ValueError(f"k must be in [1, {gw_max_k(ctx)}] for trace repair, got {k}")
+    if type(k) is not int or not 1 <= k <= gw_max_k(ctx):
+        raise ValueError(f"k must be in [1, {gw_max_k(ctx)}] for trace repair, got {k!r}")
     n = ctx.order
     if isinstance(traces, dict) or len(traces) != n - 1:
         raise ValueError("need traces for every nonzero point, in exponent order")

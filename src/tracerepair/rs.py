@@ -38,7 +38,9 @@ class Codeword:
 
     def __post_init__(self):
         vals, n = self.values, self.n
-        if len(vals) != n or not 0 <= min(vals) <= max(vals) < n:
+        if type(self.k) is not int:
+            raise ValueError(f"message length must be an integer, got {self.k!r}")
+        if len(vals) != n or not all(type(v) is int and 0 <= v < n for v in vals):
             raise ValueError(f"a codeword holds {n} field elements in [0, {n})")
 
     @property
@@ -46,8 +48,8 @@ class Codeword:
         return self.ctx.order
 
     def value_at(self, j: int) -> int:
-        if not 0 <= j < len(self.values):
-            raise ValueError(f"position {j} out of range")
+        if type(j) is not int or not 0 <= j < len(self.values):
+            raise ValueError(f"position {j!r} out of range")
         if j in self.erased:
             raise ValueError(f"position {j} is erased")
         return self.values[j]

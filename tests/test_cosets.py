@@ -134,7 +134,8 @@ def test_two_element_field_refused() -> None:
         dimension_profile(cc)
 
 
-@pytest.mark.parametrize("q,t", SEVEN_FIELDS + ((3, 5), (7, 3), (4, 4)))
+# (16, 2) and (32, 2) are perfbench towers: a cold_repair one and the steady_repair one
+@pytest.mark.parametrize("q,t", SEVEN_FIELDS + ((3, 5), (7, 3), (4, 4), (16, 2), (32, 2)))
 def test_dimension_profile_matches_filter(q, t) -> None:
     cc = enumerate_cosets(q, t)
     assert dimension_profile(cc) == tuple(filter_cosets(cc, k).dim for k in range(1, q ** t))

@@ -4,13 +4,16 @@ import dataclasses
 import types
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tracerepair import oracle
 from tracerepair.cosets import enumerate_cosets, filter_cosets
 from tracerepair.oracle import (VERIFICATION_FIELDS, VERIFY_LIMIT, brute_dim,
                                 brute_repair_check, equivalence_report,
                                 rank_over_base)
-from tracerepair.repair import gw_max_k
+from tracerepair.repair import gw_finish, gw_max_k
+from tracerepair.rs import Codeword, encode
 
 
 def test_brute_dim_gf9_known_values(gf9) -> None:
@@ -28,6 +31,9 @@ def test_brute_dim_validates(gf9) -> None:
         brute_dim(gf9, 0)
     with pytest.raises(ValueError):
         brute_dim(gf9, 9)
+    for k in (1.5, 3.0, True):  # not even True, equal to 1, is a message length
+        with pytest.raises(ValueError, match="k must be"):
+            brute_dim(gf9, k)
     big = types.SimpleNamespace(order=1 << 13)
     with pytest.raises(ValueError):
         brute_dim(big, 1)
@@ -52,7 +58,7 @@ def test_rank_over_base(gf9) -> None:
 def test_rank_over_base_rejects_outsiders(gf9) -> None:
     with pytest.raises(ValueError):
         rank_over_base(gf9, [[gf9.exp(1), 0]])
-    for mat in ([[9]], [[1, 9]], [[-1]]):
+    for mat in ([[9]], [[1, 9]], [[-1]], [[1.0]], [[0, True]]):
         with pytest.raises(ValueError):
             rank_over_base(gf9, mat)
 
@@ -79,7 +85,7 @@ def test_brute_repair_check_exhaustive_mode(gf4) -> None:
     assert brute_repair_check(gf4, 2, 0)
 
 
-@pytest.mark.parametrize("trials", [0, -5])
+@pytest.mark.parametrize("trials", [0, -5, 1.5, True])
 def test_brute_repair_check_refuses_no_trials(gf9, trials) -> None:
     with pytest.raises(ValueError, match="trials"):
         brute_repair_check(gf9, 3, 0, trials=trials)
@@ -114,3 +120,27 @@ def test_equivalence_report_refuses_large_tower_first(monkeypatch) -> None:
     for big in ((5, 1, 3), (2, 7, 1), (2, 1, 10 ** 9)):
         with pytest.raises(ValueError, match="verify limit"):
             equivalence_report(fields=((2, 1, 2), big))
+
+
+@settings(max_examples=60)
+@given(st.one_of(st.floats(), st.booleans(), st.integers(-2, 10).map(float)))
+def test_malformed_scalars_are_refused(gf9, bad) -> None:
+    """A float or bool where the library wants an integer is a ValueError,
+    never a TypeError or IndexError, and is never read as the integer it
+    equals."""
+    fc = filter_cosets(enumerate_cosets(gf9.q, gf9.t), 3)
+    cw = encode(gf9, (5, 2, 7))
+    calls = (
+        lambda: Codeword(gf9, bad, cw.values, frozenset()),
+        lambda: Codeword(gf9, 3, (bad, *cw.values[1:]), frozenset()),
+        lambda: cw.value_at(bad),
+        lambda: gw_finish(gf9, [0] * 8, bad),
+        lambda: brute_dim(gf9, bad),
+        lambda: brute_repair_check(gf9, 3, 0, trials=bad),
+        lambda: rank_over_base(gf9, [[1, bad]]),
+        lambda: oracle.trace_poly(gf9, fc, bad, 0),
+        lambda: oracle.trace_poly(gf9, fc, 0, bad),
+    )
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()

@@ -49,10 +49,13 @@ def test_gf9_trace_poly_golden(gf9) -> None:
 
 def test_trace_poly_shift_range(gf9) -> None:
     fc = filter_cosets(enumerate_cosets(3, 2), 3)
-    with pytest.raises(ValueError):
-        trace_poly(gf9, fc, 0, 2)
-    with pytest.raises(IndexError):
-        trace_poly(gf9, fc, 5, 0)
+    for shift in (2, -1, 1.0, True):
+        with pytest.raises(ValueError, match="shift"):
+            trace_poly(gf9, fc, 0, shift)
+    # -1 must not pick the last coset, nor 5 raise IndexError
+    for i in (5, 2, -1, 0.0, True):
+        with pytest.raises(ValueError, match="coset index"):
+            trace_poly(gf9, fc, i, 0)
 
 
 def test_trace_polys_are_base_field_valued(gf4, gf9, gf8, gf16_over_gf4,
@@ -471,6 +474,11 @@ def test_recover_and_finish_refuse_malformed_vectors(case, data) -> None:
             # ValueError, never IndexError, KeyError or TypeError
             with pytest.raises(ValueError):
                 call(wrong)
+    # a float or bool k, even one equal to a valid k, is not a message length
+    bad_k = data.draw(st.one_of(st.integers(1, gw_max_k(ctx)).map(float), st.floats(),
+                                st.booleans()))
+    with pytest.raises(ValueError, match="k must be"):
+        gw_finish(ctx, truth, bad_k)
 
 
 # -- finishing ------------------------------------------------------

@@ -73,12 +73,13 @@ def test_erase_and_position_point_refuse_non_int_positions(gf9) -> None:
 def test_value_at_refuses_positions_outside_the_code(gf9) -> None:
     cw = encode(gf9, (5, 2, 7))
     assert cw.value_at(8) == cw.values[8]
-    for j in (-1, 9):
+    for j in (-1, 9, 1.5, 1.0, True):
         with pytest.raises(ValueError, match="out of range"):
             cw.value_at(j)
 
 
-@pytest.mark.parametrize("bad", [-1, 9])
+# a float or bool symbol is refused here, not once a repair reads it
+@pytest.mark.parametrize("bad", [-1, 9, 1.5, 4.0, True])
 def test_codeword_refuses_values_outside_the_field(gf9, bad) -> None:
     cw = erase(encode(gf9, (5, 2, 7)), 0)
     for pos in (2, 4):
