@@ -21,8 +21,8 @@ is the same for every p, so results match digit-wise arithmetic exactly.
 The one vector kernel, sum_powers, works on discrete logs straight from
 the tables, with no method call per element.  It serves the leaf and
 combine steps of the encoding transform, the baby and giant steps of
-the repair check sums, the Guruswami-Wootters finish and the LU's
-substitutions: a sum of powers of w is an XOR-reduce for p = 2 and a
+the repair check sums, the Guruswami-Wootters finish and the window
+solve's sums: a sum of powers of w is an XOR-reduce for p = 2 and a
 Zech chain on the log of the running sum for odd p.
 
 Construction is deterministic: the modulus is the monic irreducible

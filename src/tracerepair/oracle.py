@@ -117,6 +117,9 @@ def brute_dim(ctx: FieldTower, k: int) -> int:
 
 def rank_over_base(ctx: FieldTower, mat) -> int:
     """Rank of a matrix whose rows share one length and whose entries lie in B."""
+    if not isinstance(mat, (list, tuple)) or not all(isinstance(row, (list, tuple))
+                                                    for row in mat):
+        raise ValueError("a matrix is a list of rows, each a list of entries")
     if len({len(row) for row in mat}) > 1:
         raise ValueError("matrix rows must all have the same length")
     for row in mat:

@@ -16,16 +16,17 @@ a in A the codeword satisfies the check
 A window of d = |A| consecutive powers of the primitive element can
 therefore have its traces reconstructed from everyone else instead of
 downloaded: the window block E = (omega^(a (r + c))) is a Vandermonde
-matrix in the distinct nodes omega^a, row a scaled by omega^(a r), so
-its LU factors follow in closed form from Newton's form in O(d^2) once
-per plan, and each repair costs one forward and one back substitution.
-The right-hand side is folded by Frobenius: every downloaded tau_e lies in
-B, so the check sum at a q is the q-th power of the one at a, and each
-selected coset needs its sum at its first exponent only.  Those sums
-are taken by baby steps and giant steps over a split N = n - 1 = R L
-that the plan picks; L = 1 is one direct sum per coset.  A download
-outside B is refused, since the fold would turn it into a wrong value.
-With d = 0 the window, E and the substitutions are empty.  The finish
+matrix in the distinct nodes omega^a, row a scaled by omega^(a r).
+Every downloaded tau_e lies in B, so the check sum at a q is the q-th
+power of the one at a, and each selected coset needs its sum at its
+first exponent, its leader, only.  The plan keeps E's inverse on the
+leaders' columns, one synthetic division of the polynomial with the
+nodes as roots per coset, and each repair takes every window trace as
+one trace down to B of a sum over the c selected cosets: d c terms.
+The check sums are taken by baby steps and giant steps over a split
+N = n - 1 = R L that the plan picks; L = 1 is one direct sum per
+coset.  A download outside B is refused, since the fold would turn it
+into a wrong value.  With d = 0 the window and E are empty.  The finish
 is minus the same sum at a = 1 over the trace vector, the list whose
 entry e is tau_e.
 """
@@ -93,7 +94,7 @@ def _check_sum_stride(mod: int, helpers: int, cosets: int) -> int:
 
 
 def build_plan(ctx: FieldTower, fc: FilteredCosets, r: int) -> RepairPlan:
-    """Fix the omitted window {omega^r, ..., omega^(r+d-1)} and factor it."""
+    """Fix the omitted window {omega^r, ..., omega^(r+d-1)} and invert its block."""
     if fc.collection.q != ctx.q or fc.collection.t != ctx.t:
         raise ValueError("coset collection does not match field")
     k = fc.k
@@ -110,9 +111,8 @@ def build_plan(ctx: FieldTower, fc: FilteredCosets, r: int) -> RepairPlan:
     omitted_exps = tuple((r + c) % mod for c in range(d))
     helper_exps = tuple(e for e in range(mod) if (e - r) % mod >= d)
     # E: rows omega^(a (r + c)), c < d, one per a in A
-    exps = [a for coset in fc.selected for a in coset.elements]
     return RepairPlan(ctx, fc, k, r, d, omitted_exps, helper_exps,
-                      linalg.LUFactorization(ctx, exps, r),
+                      linalg.LUFactorization(ctx, [c.elements for c in fc.selected], r),
                       _check_sum_stride(mod, mod - d, len(fc.selected)))
 
 
@@ -159,15 +159,10 @@ def recover_missing_traces(plan: RepairPlan, downloaded) -> list:
                     row.append((s, log(v)))
     # A coset is listed a, a q, a q^2, ..., and each tau_e is fixed by
     # x -> x^q, so S_(a q) = S_a^q: the giant step runs at the coset's
-    # first exponent only, then Frobenius.
-    rhs = []
-    for coset in plan.cosets.selected:
-        a = coset.elements[0]
-        check = ctx.neg(ctx.sum_powers([a * s % mod + lb for s, lb in baby[a % steps]]))
-        for _ in coset.elements:
-            rhs.append(check)
-            check = ctx.frobenius(check)
-    window = plan._e_lu.solve(rhs)
+    # first exponent only, and the solve needs no other.
+    leads = [ctx.neg(ctx.sum_powers([a * s % mod + lb for s, lb in baby[a % steps]]))
+             for a in (coset.elements[0] for coset in plan.cosets.selected)]
+    window = plan._e_lu.solve(leads)
     if not all(map(ctx.in_base_field, window)):
         raise AssertionError("recovered trace left the base field")
     traces = [0] * mod

@@ -38,10 +38,12 @@ class Codeword:
 
     def __post_init__(self):
         vals, n = self.values, self.n
-        if type(self.k) is not int:
-            raise ValueError(f"message length must be an integer, got {self.k!r}")
+        if type(self.k) is not int or not 1 <= self.k <= n:
+            raise ValueError(f"message length must be an integer in [1, {n}], got {self.k!r}")
         if len(vals) != n or not all(type(v) is int and 0 <= v < n for v in vals):
             raise ValueError(f"a codeword holds {n} field elements in [0, {n})")
+        if not all(type(j) is int and 0 <= j < n for j in self.erased):
+            raise ValueError(f"erased positions must lie in [0, {n})")
 
     @property
     def n(self) -> int:

@@ -1,4 +1,4 @@
-"""Property tests: the sum_powers kernel and the LU against scalar arithmetic."""
+"""Property tests: the sum_powers kernel and the window solve against scalar arithmetic."""
 
 from __future__ import annotations
 
@@ -8,13 +8,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tracerepair import linalg
+from tracerepair.cosets import enumerate_cosets
 from tracerepair.field import construct_field
 from tracerepair.oracle import mat_mul
 
 # p = 2 and odd-p towers, B = GF(p) and B larger than GF(p).
 KERNEL_TOWERS = ((2, 1, 3), (2, 2, 2), (2, 1, 6), (2, 5, 2),
                  (3, 1, 2), (3, 2, 2), (3, 1, 5), (5, 1, 2), (7, 1, 3))
-LU_TOWERS = ((2, 2, 2), (5, 1, 2), (7, 1, 3))
+# coset sizes 1 and 2; 1, 2 and 4; 1, 2, 3 and 6; 1 and 3
+LU_TOWERS = ((2, 2, 2), (5, 1, 2), (2, 1, 4), (2, 1, 6), (7, 1, 3))
 
 _fields = {}
 
@@ -23,11 +25,6 @@ def _field(tower):
     if tower not in _fields:
         _fields[tower] = construct_field(*tower)
     return _fields[tower]
-
-
-def _element(ctx):
-    # zero is drawn often, so the branches for zero (log -1) are covered
-    return st.one_of(st.just(0), st.integers(0, ctx.order - 1))
 
 
 @st.composite
@@ -51,23 +48,23 @@ def test_sum_powers_matches_scalar_add(case) -> None:
 
 @st.composite
 def _window(draw):
-    """Distinct exponents, a window start r, a right-hand side and a solution."""
+    """Some of a tower's cosets, a window start r and a solution in B, zeros included."""
     ctx = _field(draw(st.sampled_from(LU_TOWERS)))
-    mod = ctx.order - 1
-    exps = draw(st.lists(st.integers(0, mod - 1), min_size=1, max_size=6, unique=True))
-    r = draw(st.integers(0, mod - 1))
-    rhs = draw(st.lists(_element(ctx), min_size=len(exps), max_size=len(exps)))
-    sol = draw(st.lists(_element(ctx), min_size=len(exps), max_size=len(exps)))
-    return ctx, exps, r, rhs, sol
+    cosets = draw(st.lists(st.sampled_from(enumerate_cosets(ctx.q, ctx.t).cosets),
+                           min_size=1, max_size=5, unique=True))
+    r = draw(st.integers(0, ctx.order - 2))
+    base = [v for v in range(ctx.order) if ctx.in_base_field(v)]
+    d = sum(c.size for c in cosets)
+    sol = draw(st.lists(st.one_of(st.just(0), st.sampled_from(base)), min_size=d, max_size=d))
+    return ctx, [c.elements for c in cosets], r, sol
 
 
 @given(_window())
 def test_lu_round_trip(case) -> None:
-    ctx, exps, r, rhs, sol = case
+    ctx, cosets, r, sol = case
+    exps = [a for coset in cosets for a in coset]
     mat = [[ctx.pow(ctx.exp(a), r + c) for c in range(len(exps))] for a in exps]
-    lu = linalg.LUFactorization(ctx, exps, r)
-    x = lu.solve(rhs)
-    assert mat_mul(ctx, mat, [[v] for v in x]) == [[v] for v in rhs]
-    # a solution with zeros drives the zero-log path of both substitutions
     b = [row[0] for row in mat_mul(ctx, mat, [[v] for v in sol])]
-    assert lu.solve(b) == sol
+    leaders = [exps.index(coset[0]) for coset in cosets]
+    # a solution with zeros, and leader entries that are zero, drive the zero-log paths
+    assert linalg.LUFactorization(ctx, cosets, r).solve([b[i] for i in leaders]) == sol

@@ -5,6 +5,8 @@ import random
 import pytest
 
 from tracerepair import linalg
+from tracerepair.cosets import enumerate_cosets, filter_cosets
+from tracerepair.field import construct_field
 from tracerepair.linalg import SingularMatrixError
 from tracerepair.oracle import rank
 
@@ -14,11 +16,37 @@ def test_identity(gf9) -> None:
     assert rank(gf9, ident) == 4
 
 
-def test_singular_raises(gf9) -> None:
+def test_singular_raises(gf9, gf16_over_gf2) -> None:
     # exponents 1 and 9 name the same node w^1 in GF(9)
-    for exps in ([2, 2], [1, 0, 9]):
+    for cosets in ([(2, 6), (2, 6)], [(1, 3), (0,), (9, 3)]):
         with pytest.raises(SingularMatrixError):
-            linalg.LUFactorization(gf9, exps, 0)
+            linalg.LUFactorization(gf9, cosets, 0)
+    # not a coset, or a coset listed out of Frobenius order
+    for ctx, cosets in ((gf9, [(1,)]), (gf9, [(1, 2)]), (gf16_over_gf2, [(1, 4, 2, 8)])):
+        with pytest.raises(ValueError, match="q-cyclotomic"):
+            linalg.LUFactorization(ctx, cosets, 0)
+
+
+@pytest.mark.parametrize("p,m,t,k", [(2, 3, 2, 10), (2, 1, 4, 1), (2, 1, 6, 1),
+                                     (7, 1, 3, 147), (3, 1, 2, 2)])
+def test_solve_hands_sum_powers_d_calls_of_at_most_c_terms(p, m, t, k, monkeypatch) -> None:
+    ctx = construct_field(p, m, t)
+    fc = filter_cosets(enumerate_cosets(ctx.q, ctx.t), k)
+    lu = linalg.LUFactorization(ctx, [c.elements for c in fc.selected], 5)
+    c, d = len(fc.selected), fc.dim
+    calls = []
+    real_sum = ctx.sum_powers
+
+    def sum_powers(exps):
+        exps = list(exps)
+        calls.append(len(exps))
+        return real_sum(exps)
+
+    monkeypatch.setattr(ctx, "sum_powers", sum_powers)
+    rng = random.Random(d)
+    lu.solve([rng.randrange(1, ctx.order) for _ in range(c)])
+    assert len(calls) == d > c
+    assert max(calls) <= c and sum(calls) <= d * c
 
 
 def test_rank_of_dependent_rows(gf9) -> None:

@@ -67,6 +67,10 @@ def test_rank_over_base_rejects_ragged_rows(gf9) -> None:
     for mat in ([[1, 0], [1]], [[1], [1, 0]], [[1, 2], []]):
         with pytest.raises(ValueError, match="same length"):
             rank_over_base(gf9, mat)
+    # rows that are not sequences, or no matrix at all
+    for mat in ([1, 2], [[1, 0], 2], 3):
+        with pytest.raises(ValueError, match="list of rows"):
+            rank_over_base(gf9, mat)
 
 
 def test_repair_round_trip_every_field(gf4, gf9, gf8, gf16_over_gf4,

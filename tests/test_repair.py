@@ -185,17 +185,26 @@ def test_factor_matrices_invertible(gf9, gf64_over_gf8) -> None:
 
 def test_plan_solve_inverts_window_block_every_plan(gf9, gf16_over_gf4,
                                                     gf64_over_gf8) -> None:
+    """b = E x for x in B^d folds by Frobenius along each coset, and the
+    plan's solve takes x back from b's leader entries alone."""
     rng = random.Random(17)
     for ctx in (gf9, gf16_over_gf4, gf64_over_gf8):
         cc = enumerate_cosets(ctx.q, ctx.t)
+        base = [v for v in range(ctx.order) if ctx.in_base_field(v)]
         for k in range(1, gw_max_k(ctx) + 1):
             fc = filter_cosets(cc, k)
             for r in range(ctx.order - 1):
                 plan = build_plan(ctx, fc, r)
-                b = [rng.randrange(ctx.order) for _ in range(plan.dim)]
-                x = plan._e_lu.solve(b)
-                assert mat_mul(ctx, window_block(plan), [[v] for v in x]) == [
-                    [v] for v in b], (ctx, k, r)
+                x = [rng.choice(base) for _ in range(plan.dim)]
+                b = [row[0] for row in mat_mul(ctx, window_block(plan), [[v] for v in x])]
+                leads, i = [], 0
+                for coset in fc.selected:
+                    block = b[i:i + coset.size]
+                    assert block[1:] == [ctx.frobenius(v) for v in block[:-1]], (ctx, k, r)
+                    leads.append(block[0])
+                    i += coset.size
+                assert plan._e_lu.solve(leads) == x, (ctx, k, r)
+                assert plan._e_lu.solve([0] * len(leads)) == [0] * plan.dim
 
 
 def test_plan_and_repair_gf4096_within_bound() -> None:
@@ -241,6 +250,41 @@ def test_build_plan_validates(gf9) -> None:
             build_plan(gf9, filter_cosets(cc, 3), r)
     with pytest.raises(ValueError):
         build_plan(gf9, filter_cosets(enumerate_cosets(2, 2), 1), 0)  # wrong field
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_plan_and_repair_refuse_malformed_or_out_of_range_arguments(gf16_over_gf4,
+                                                                    data) -> None:
+    """A float, a bool or an out-of-range int for r, k or the position is a
+    ValueError from build_plan and repair_at, never a TypeError, IndexError
+    or KeyError."""
+    ctx = gf16_over_gf4
+    n, cc = ctx.order, enumerate_cosets(ctx.q, ctx.t)
+    k, r, pos = 6, 2, 4
+    cw = erase(encode(ctx, tuple(range(1, k + 1))), pos)
+    plan = _plan(ctx, k, r)
+
+    def bad(lo, hi):
+        """Anything but an int in [lo, hi]."""
+        return data.draw(st.one_of(st.floats(), st.booleans(), st.integers(lo, hi).map(float),
+                                   st.integers(max_value=lo - 1), st.integers(min_value=hi + 1)))
+
+    bad_k, bad_r, bad_pos = bad(1, gw_max_k(ctx)), bad(0, n - 2), bad(0, n - 1)
+    calls = (
+        lambda: build_plan(ctx, filter_cosets(cc, bad_k), r),
+        lambda: build_plan(ctx, filter_cosets(cc, k), bad_r),
+        lambda: repair_at(ctx, bad_k, r, cw, pos),
+        lambda: repair_at(ctx, k, bad_r, cw, pos),
+        lambda: repair_at(ctx, k, r, cw, bad_pos),
+        lambda: repair_at(ctx, bad_k, r, cw, pos, plan=plan),
+        lambda: repair_at(ctx, k, bad_r, cw, pos, plan=plan),
+        lambda: repair_at(ctx, k, r, cw, bad_pos, plan=plan),
+    )
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
+    assert repair_at(ctx, k, r, cw, pos, plan=plan)[0] == encode(ctx, range(1, k + 1)).values[pos]
 
 
 def test_gw_bound(gf9, gf4, gf64_over_gf8) -> None:

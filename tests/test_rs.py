@@ -92,6 +92,17 @@ def test_codeword_refuses_values_outside_the_field(gf9, bad) -> None:
             Codeword(gf9, 3, values, frozenset())
 
 
+def test_codeword_refuses_message_lengths_and_erasures_out_of_range(gf9) -> None:
+    values = encode(gf9, (5, 2, 7)).values
+    for k in (0, -1, 10):
+        with pytest.raises(ValueError, match="message length"):
+            Codeword(gf9, k, values, frozenset())
+    for erased in ({99}, {9}, {-1}, {2, 1.0}, {True}):
+        with pytest.raises(ValueError, match="erased positions"):
+            Codeword(gf9, 3, values, frozenset(erased))
+    assert Codeword(gf9, 9, values, frozenset({0, 8})).erased == {0, 8}
+
+
 def test_erase_arbitrary_position(gf9) -> None:
     cw = encode(gf9, (1, 2, 3))
     gone = erase(cw, 5)
