@@ -9,11 +9,11 @@ ships nothing at all, and linear algebra over the tower fills the gap.
 The same plan then repairs a second, nonzero position.
 """
 
-from tracerepair import (build_plan, classical_repair, encode,
-                         enumerate_cosets, erase, filter_cosets,
-                         construct_field, gw_finish, gw_max_k,
-                         position_point, recover_missing_traces,
-                         repair_pipeline)
+from tracerepair import (build_plan, combine, encode, enumerate_cosets,
+                         erase, filter_cosets, construct_field, gw_max_k,
+                         position_point, repair_pipeline)
+from tracerepair.oracle import classical_repair
+from tracerepair.repair import recover_missing_traces
 
 ctx = construct_field(3, 1, 2)
 k = 3
@@ -42,14 +42,14 @@ downloaded = [ctx.trace(ctx.mul(lost.value_at(e + 1), ctx.inv(ctx.exp(e))))
 print(f"downloaded traces: {downloaded}")
 
 # Step 2: the d checks pin down the silent window's traces; entry e of
-# the trace vector belongs to w^e.
+# the trace vector belongs to w^e.  This is combine's first stage.
 traces = recover_missing_traces(plan, downloaded)
 print(f"recovered window:  {[traces[e] for e in plan.omitted_exps]}")
 print(f"trace vector:      {traces}")
 
-# Step 3: with all n-1 traces in hand, f(0) = -sum_e w^e * trace(f(w^e)/w^e)
-# produces the erased value exactly.
-value = gw_finish(ctx, traces, k)
+# Step 3: combine runs both stages on the downloads: with all n-1 traces
+# in hand, f(0) = -sum_e w^e * trace(f(w^e)/w^e) is the erased value.
+value = combine(plan, downloaded)
 print(f"rebuilt f(0) = {value}, truth {cw.values[0]}")
 assert value == cw.values[0]
 print()

@@ -13,20 +13,17 @@ from .field import FieldTower, construct_field
 from .oracle import (VERIFICATION_FIELDS, brute_dim, brute_repair_check,
                      rank_over_base)
 from .repair import (BandwidthReport, BandwidthRow, RepairPlan, bandwidth_table,
-                     build_plan, gw_finish, gw_max_k, plan_from_dict,
-                     plan_to_dict, recover_missing_traces, repair_at,
-                     repair_pipeline)
-from .rs import Codeword, classical_repair, encode, erase, position_point
+                     build_plan, combine, gw_max_k, plan_from_dict, plan_to_dict,
+                     repair_at, repair_pipeline)
+from .rs import Codeword, encode, erase, position_point
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BandwidthReport", "BandwidthRow", "Codeword", "Coset", "CosetCollection",
     "FieldTower", "FilteredCosets", "RepairPlan", "VERIFICATION_FIELDS",
-    "bandwidth_table", "brute_dim", "brute_repair_check", "build_plan",
-    "classical_repair", "construct_field", "encode", "enumerate_cosets",
-    "erase", "filter_cosets", "gw_finish", "gw_max_k",
-    "plan_from_dict", "plan_to_dict", "rank_over_base",
-    "recover_missing_traces", "repair_at", "repair_pipeline",
-    "position_point",
+    "bandwidth_table", "brute_dim", "brute_repair_check", "build_plan", "combine",
+    "construct_field", "encode", "enumerate_cosets", "erase", "filter_cosets",
+    "gw_max_k", "plan_from_dict", "plan_to_dict", "position_point",
+    "rank_over_base", "repair_at", "repair_pipeline",
 ]

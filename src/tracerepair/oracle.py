@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from .cosets import FilteredCosets, enumerate_cosets, filter_cosets
 from .field import FieldTower, check_order_limit, construct_field
 from .repair import RepairPlan, build_plan, repair_pipeline
-from .rs import encode, erase
+from .rs import Codeword, encode, erase, position_point
 
 # The field/k matrix exercised by the verify command: (p, m, t).
 VERIFICATION_FIELDS = (
@@ -262,3 +262,29 @@ def equivalence_report(fields=VERIFICATION_FIELDS) -> list[dict]:
                 "ok": formula == oracle,
             })
     return rows
+
+
+def classical_repair(cw: Codeword, helper_positions) -> int:
+    """Recover the value at 0 by Lagrange interpolation from k full symbols."""
+    ctx = cw.ctx
+    helpers = list(helper_positions)
+    if len(set(helpers)) != len(helpers):
+        raise ValueError("helper positions must be distinct")
+    if len(helpers) != cw.k:
+        raise ValueError(f"need exactly {cw.k} helper positions, got {len(helpers)}")
+    points = []
+    for j in helpers:
+        if j in cw.erased:
+            raise ValueError(f"position {j} is erased")
+        points.append(position_point(ctx, j))
+    add, mul, sub, div = ctx.add, ctx.mul, ctx.sub, ctx.div
+    acc = 0
+    for i, j in enumerate(helpers):
+        xi = points[i]
+        w = 1
+        for l, xl in enumerate(points):
+            if l == i:
+                continue
+            w = mul(w, div(sub(0, xl), sub(xi, xl)))
+        acc = add(acc, mul(cw.values[j], w))
+    return acc

@@ -25,10 +25,10 @@ nodes as roots per coset, and each repair takes every window trace as
 one trace down to B of a sum over the c selected cosets: d c terms.
 The check sums are taken by baby steps and giant steps over a split
 N = n - 1 = R L that the plan picks; L = 1 is one direct sum per
-coset.  A download outside B is refused, since the fold would turn it
-into a wrong value.  With d = 0 the window and E are empty.  The finish
-is minus the same sum at a = 1 over the trace vector, the list whose
-entry e is tau_e.
+coset.  With d = 0 the window and E are empty.  The finish is minus
+the same sum at a = 1 over the trace vector, entry e tau_e.  combine
+runs recover_missing_traces and then gw_finish on the helpers' traces,
+and refuses a download outside B, which the fold would turn wrong.
 """
 
 from __future__ import annotations
@@ -93,45 +93,48 @@ def _check_sum_stride(mod: int, helpers: int, cosets: int) -> int:
     return min(divisors, key=cost)
 
 
-def build_plan(ctx: FieldTower, fc: FilteredCosets, r: int) -> RepairPlan:
-    """Fix the omitted window {omega^r, ..., omega^(r+d-1)} and invert its block."""
+def _layout(ctx: FieldTower, fc: FilteredCosets, r: int) -> tuple[tuple, tuple]:
+    """Check fc and r; the window {omega^r, ..., omega^(r+d-1)} and helpers by exponent."""
     if fc.collection.q != ctx.q or fc.collection.t != ctx.t:
         raise ValueError("coset collection does not match field")
-    k = fc.k
-    if k > gw_max_k(ctx):
-        raise ValueError(f"k must be at most {gw_max_k(ctx)} for trace repair, got {k}")
-    n = ctx.order
+    if fc.k > gw_max_k(ctx):
+        raise ValueError(f"k must be at most {gw_max_k(ctx)} for trace repair, got {fc.k}")
+    d, mod = fc.dim, ctx.order - 1
     if type(r) is not int:
         raise ValueError(f"r must be an integer, got {r!r}")
-    if not 0 <= r <= n - 2:
-        raise ValueError(f"r must be in [0, {n - 2}], got {r}")
-    d = fc.dim
-    mod = n - 1
+    if not 0 <= r < mod:
+        raise ValueError(f"r must be in [0, {mod - 1}], got {r}")
+    return (tuple((r + c) % mod for c in range(d)),
+            tuple(e for e in range(mod) if (e - r) % mod >= d))
 
-    omitted_exps = tuple((r + c) % mod for c in range(d))
-    helper_exps = tuple(e for e in range(mod) if (e - r) % mod >= d)
+
+def build_plan(ctx: FieldTower, fc: FilteredCosets, r: int) -> RepairPlan:
+    """Fix the omitted window and invert its block."""
+    return _plan(ctx, fc, r, *_layout(ctx, fc, r))
+
+
+def _plan(ctx: FieldTower, fc: FilteredCosets, r: int, omitted, helpers) -> RepairPlan:
     # E: rows omega^(a (r + c)), c < d, one per a in A
-    return RepairPlan(ctx, fc, k, r, d, omitted_exps, helper_exps,
+    return RepairPlan(ctx, fc, fc.k, r, fc.dim, omitted, helpers,
                       linalg.LUFactorization(ctx, [c.elements for c in fc.selected], r),
-                      _check_sum_stride(mod, mod - d, len(fc.selected)))
+                      _check_sum_stride(ctx.order - 1, len(helpers), len(fc.selected)))
 
 
 def recover_missing_traces(plan: RepairPlan, downloaded) -> list:
     """Fill in the window: the full trace vector from the helpers' traces.
 
     downloaded lists the traces in plan.helper_exps order; entry e of
-    the result is tau_e.  A dict or a wrong length raises ValueError, as
-    does a trace outside B, or no field element at all, naming its
-    helper: the Frobenius fold below holds only for B-valued traces.
+    the result is tau_e.  Anything but a list or tuple of the right length
+    raises ValueError, as does a trace outside B or no field element at
+    all, naming its helper: the Frobenius fold below holds only in B.
     """
     ctx = plan.ctx
-    if isinstance(downloaded, dict) or len(downloaded) != len(plan.helper_exps):
+    if not isinstance(downloaded, (list, tuple)) or len(downloaded) != len(plan.helper_exps):
         raise ValueError("downloaded traces must list the helpers in helper_exps order")
     for e, v in zip(plan.helper_exps, downloaded):
         if not (type(v) is int and 0 <= v < ctx.order and ctx.in_base_field(v)):
             raise ValueError(f"trace from helper w^{e} is not in the base field")
-    mod = ctx.order - 1
-    stride = plan._stride
+    mod, stride = ctx.order - 1, plan._stride
     steps = mod // stride
     logs = [(e, ctx.log(v)) for e, v in zip(plan.helper_exps, downloaded) if v]
     # The check sum S_a = sum over e of omega^(a e) * tau_e, split at
@@ -162,34 +165,29 @@ def recover_missing_traces(plan: RepairPlan, downloaded) -> list:
     # first exponent only, and the solve needs no other.
     leads = [ctx.neg(ctx.sum_powers([a * s % mod + lb for s, lb in baby[a % steps]]))
              for a in (coset.elements[0] for coset in plan.cosets.selected)]
-    window = plan._e_lu.solve(leads)
-    if not all(map(ctx.in_base_field, window)):
-        raise AssertionError("recovered trace left the base field")
     traces = [0] * mod
-    for e, v in zip(plan.helper_exps + plan.omitted_exps, [*downloaded, *window]):
+    for e, v in zip(plan.helper_exps + plan.omitted_exps,
+                    [*downloaded, *plan._e_lu.solve(leads)]):
         traces[e] = v
     return traces
 
 
-def gw_finish(ctx: FieldTower, traces, k: int) -> int:
-    """Recombine the trace vector into f(x0).
+def gw_finish(ctx: FieldTower, traces) -> int:
+    """Recombine the trace vector that recover_missing_traces returns into f(x0).
 
-    Entry e of traces is tau_e = trace(f(x0 + omega^e) / omega^e).
+    Entry e of traces is tau_e = trace(f(x0 + omega^e) / omega^e), in B.
     Expanding f(x0) over the dual basis and exchanging the sums gives
-    f(x0) = -sum over e of omega^e * tau_e: minus the check sum at
-    exponent 1.  Every trace must lie in B, or the sum is not f(x0).
+    f(x0) = -sum over e of omega^e * tau_e, the check sum at 1 negated.
     """
-    if type(k) is not int or not 1 <= k <= gw_max_k(ctx):
-        raise ValueError(f"k must be in [1, {gw_max_k(ctx)}] for trace repair, got {k!r}")
-    n = ctx.order
-    if isinstance(traces, dict) or len(traces) != n - 1:
-        raise ValueError("need traces for every nonzero point, in exponent order")
-    # compared before any table lookup, which would fail or wrap outside [0, n)
-    if not all(type(v) is int and 0 <= v < n for v in traces):
-        raise ValueError("traces must be field elements")
-    if not all(map(ctx.in_base_field, traces)):
-        raise ValueError("traces must lie in the base field")
     return ctx.neg(ctx.sum_powers([e + ctx.log(v) for e, v in enumerate(traces) if v]))
+
+
+def combine(plan: RepairPlan, traces) -> int:
+    """f(x0) from the helpers' traces, listed in plan.helper_exps order.
+
+    Anything but a list or tuple of that length, or a trace outside B, raises ValueError.
+    """
+    return gw_finish(plan.ctx, recover_missing_traces(plan, traces))
 
 
 @dataclass(frozen=True)
@@ -205,7 +203,7 @@ def repair_pipeline(ctx: FieldTower, k: int, r: int, cw: Codeword,
 
     With x0 the erased point, the helper at exponent e is read in place
     at x0 + omega^e and ships tau_e = trace(f(x0 + omega^e) / omega^e);
-    the window's traces are recovered from the others, and
+    combine recovers the window's traces from the others and returns
     f(x0) = -sum over e of omega^e * tau_e.
     Returns the recovered value and the download accounting.  A prebuilt
     plan for the same (k, r) may be passed to amortise setup across many
@@ -233,10 +231,8 @@ def repair_pipeline(ctx: FieldTower, k: int, r: int, cw: Codeword,
         a = ctx.exp(e)
         x = add(x0, a)
         downloaded.append(trace(mul(cw.value_at(log(x) + 1 if x else 0), inv(a))))
-    value = gw_finish(ctx, recover_missing_traces(plan, downloaded), k)
     nsym = len(plan.helper_exps)
-    report = BandwidthReport(nsym, nsym, nsym * ctx.bits_per_symbol)
-    return value, report
+    return combine(plan, downloaded), BandwidthReport(nsym, nsym, nsym * ctx.bits_per_symbol)
 
 
 def repair_at(ctx: FieldTower, k: int, r: int, cw: Codeword, position: int,
@@ -296,21 +292,23 @@ def plan_to_dict(plan: RepairPlan) -> dict:
 def plan_from_dict(doc: dict) -> RepairPlan:
     """Rebuild a plan from its summary and cross-check the stored fields.
 
-    A malformed document raises ValueError naming the offending field.
+    A malformed document raises ValueError naming the offending field,
+    before the O(d^2) build of the window block's inverse.
     """
     if not isinstance(doc, dict):
         raise ValueError("plan document must be a JSON object")
     for key in ("p", "m", "t", "k", "r", "d", "omitted", "helpers", "cosets"):
         if key not in doc:
             raise ValueError(f"plan document missing {key!r}")
-    for key in ("p", "m", "t", "k", "r"):
-        if type(doc[key]) is not int:
+        if key in ("p", "m", "t", "k", "r") and type(doc[key]) is not int:
             raise ValueError(f"plan document field {key!r} must be an integer")
     ctx = construct_field(doc["p"], doc["m"], doc["t"])
-    cc = enumerate_cosets(ctx.q, ctx.t)
-    plan = build_plan(ctx, filter_cosets(cc, doc["k"]), doc["r"])
-    stored = plan_to_dict(plan)
-    for key in ("d", "omitted", "helpers", "cosets"):
-        if stored[key] != doc[key]:
+    fc = filter_cosets(enumerate_cosets(ctx.q, ctx.t), doc["k"])
+    omitted, helpers = _layout(ctx, fc, doc["r"])
+    derived = {"d": fc.dim, "omitted": list(omitted), "helpers": list(helpers),
+               "cosets": [list(c.elements) for c in fc.selected]}
+    for key, want in derived.items():
+        # repr, unlike ==, tells 1 from True and from 1.0
+        if repr(doc[key]) != repr(want):
             raise ValueError(f"plan document inconsistent at {key!r}")
-    return plan
+    return _plan(ctx, fc, doc["r"], omitted, helpers)

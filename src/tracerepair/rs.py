@@ -17,6 +17,7 @@ the prime factors of N, against N k for evaluating point by point.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 from .field import FieldTower, _prime_factors
@@ -104,36 +105,13 @@ def encode(ctx: FieldTower, coeffs) -> Codeword:
 
 
 def erase(cw: Codeword, j: int) -> Codeword:
+    """cw with position j erased too; its values were checked when cw was built."""
     if type(j) is not int:
         raise ValueError(f"position must be an integer, got {j!r}")
     if j in cw.erased:
         raise ValueError(f"position {j} already erased")
     if not 0 <= j < cw.n:
         raise ValueError(f"position {j} out of range")
-    return Codeword(cw.ctx, cw.k, cw.values, cw.erased | {j})
-
-
-def classical_repair(cw: Codeword, helper_positions) -> int:
-    """Recover the value at 0 by Lagrange interpolation from k full symbols."""
-    ctx = cw.ctx
-    helpers = list(helper_positions)
-    if len(set(helpers)) != len(helpers):
-        raise ValueError("helper positions must be distinct")
-    if len(helpers) != cw.k:
-        raise ValueError(f"need exactly {cw.k} helper positions, got {len(helpers)}")
-    points = []
-    for j in helpers:
-        if j in cw.erased:
-            raise ValueError(f"position {j} is erased")
-        points.append(position_point(ctx, j))
-    add, mul, sub, div = ctx.add, ctx.mul, ctx.sub, ctx.div
-    acc = 0
-    for i, j in enumerate(helpers):
-        xi = points[i]
-        w = 1
-        for l, xl in enumerate(points):
-            if l == i:
-                continue
-            w = mul(w, div(sub(0, xl), sub(xi, xl)))
-        acc = add(acc, mul(cw.values[j], w))
-    return acc
+    out = copy.copy(cw)
+    object.__setattr__(out, "erased", cw.erased | {j})
+    return out

@@ -12,7 +12,7 @@ from tracerepair.cosets import enumerate_cosets, filter_cosets
 from tracerepair.oracle import (VERIFICATION_FIELDS, VERIFY_LIMIT, brute_dim,
                                 brute_repair_check, equivalence_report,
                                 rank_over_base)
-from tracerepair.repair import gw_finish, gw_max_k
+from tracerepair.repair import build_plan, combine, gw_max_k
 from tracerepair.rs import Codeword, encode
 
 
@@ -138,7 +138,7 @@ def test_malformed_scalars_are_refused(gf9, bad) -> None:
         lambda: Codeword(gf9, bad, cw.values, frozenset()),
         lambda: Codeword(gf9, 3, (bad, *cw.values[1:]), frozenset()),
         lambda: cw.value_at(bad),
-        lambda: gw_finish(gf9, [0] * 8, bad),
+        lambda: combine(build_plan(gf9, fc, 0), [bad, 0, 0, 0, 0]),
         lambda: brute_dim(gf9, bad),
         lambda: brute_repair_check(gf9, 3, 0, trials=bad),
         lambda: rank_over_base(gf9, [[1, bad]]),

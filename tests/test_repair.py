@@ -18,11 +18,11 @@ from tracerepair.field import construct_field
 from tracerepair.oracle import (VERIFICATION_FIELDS, mat_mul, rank, rank_over_base,
                                 trace_matrix, trace_poly, vander_blocks,
                                 verify_factorization, window_block)
-from tracerepair.repair import (bandwidth_table, build_plan, gw_finish,
+from tracerepair.repair import (bandwidth_table, build_plan, combine, gw_finish,
                                 gw_max_k, plan_from_dict, plan_to_dict,
                                 recover_missing_traces, repair_at,
                                 repair_pipeline)
-from tracerepair.rs import encode, erase
+from tracerepair.rs import encode, erase, position_point
 
 
 def _plan(ctx, k, r):
@@ -327,7 +327,7 @@ def test_recover_requires_exact_helper_cover(gf9) -> None:
     by_point = {gf9.exp(e): truth[e] for e in plan.helper_exps}
     for bad in (short, extra, by_point):
         with pytest.raises(ValueError, match="helper_exps order"):
-            recover_missing_traces(plan, bad)
+            combine(plan, bad)
 
 
 def test_one_factorization_per_plan_one_solve_per_repair(gf64_over_gf8,
@@ -424,7 +424,7 @@ def test_recover_refuses_non_base_download(p, m, t, k, monkeypatch) -> None:
         downloaded = [truth[h] for h in plan.helper_exps]
         downloaded[i] = bad[i % len(bad)]
         with pytest.raises(ValueError, match=rf"helper w\^{e} "):
-            recover_missing_traces(plan, downloaded)
+            combine(plan, downloaded)
 
 
 def _recover_digest(p, m, t, k, r, draws=3):
@@ -491,7 +491,7 @@ def test_recover_and_finish_give_back_the_truth(case) -> None:
     plan, coeffs, truth = case
     traces = recover_missing_traces(plan, [truth[e] for e in plan.helper_exps])
     assert traces == truth
-    assert gw_finish(plan.ctx, traces, plan.k) == coeffs[0]
+    assert gw_finish(plan.ctx, traces) == coeffs[0]
 
 
 @settings(max_examples=60)
@@ -505,24 +505,36 @@ def test_recover_and_finish_refuse_malformed_vectors(case, data) -> None:
     bad_value = st.one_of(st.integers(max_value=-1), st.integers(min_value=n),
                           st.sampled_from(outsiders), st.integers(0, n - 1).map(float),
                           st.floats(), st.booleans())
-    for exps, call in ((plan.helper_exps, lambda v: recover_missing_traces(plan, v)),
-                       (range(n - 1), lambda v: gw_finish(ctx, v, plan.k))):
-        vec = [truth[e] for e in exps]
-        size = len(vec)
-        length = data.draw(st.integers(0, size + 3).filter(lambda x: x != size))
-        bad = list(vec)
-        bad[data.draw(st.integers(0, size - 1))] = data.draw(bad_value)
-        # the old contract: the same traces keyed by their points
-        by_point = {ctx.exp(e): truth[e] for e in exps}
-        for wrong in ((vec * 2 + [0] * 3)[:length], by_point, bad):
-            # ValueError, never IndexError, KeyError or TypeError
-            with pytest.raises(ValueError):
-                call(wrong)
-    # a float or bool k, even one equal to a valid k, is not a message length
-    bad_k = data.draw(st.one_of(st.integers(1, gw_max_k(ctx)).map(float), st.floats(),
-                                st.booleans()))
-    with pytest.raises(ValueError, match="k must be"):
-        gw_finish(ctx, truth, bad_k)
+    vec = [truth[e] for e in plan.helper_exps]
+    size = len(vec)
+    length = data.draw(st.integers(0, size + 3).filter(lambda x: x != size))
+    bad = list(vec)
+    bad[data.draw(st.integers(0, size - 1))] = data.draw(bad_value)
+    # the old contract: the same traces keyed by their points
+    by_point = {ctx.exp(e): truth[e] for e in plan.helper_exps}
+    for wrong in ((vec * 2 + [0] * 3)[:length], by_point, bad, iter(vec), set(vec), None):
+        # ValueError, never IndexError, KeyError or TypeError
+        with pytest.raises(ValueError):
+            combine(plan, wrong)
+
+
+@settings(max_examples=60)
+@given(st.sampled_from(VERIFICATION_FIELDS), st.data())
+def test_combine_gives_back_the_stored_symbol(tower, data) -> None:
+    """combine on the true helper traces at any position is the erased symbol."""
+    ctx = construct_field(*tower)
+    n = ctx.order
+    k = data.draw(st.integers(1, gw_max_k(ctx)))
+    plan = _contract_plan(tower, k, data.draw(st.integers(0, n - 2)))
+    cw = encode(ctx, data.draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k)))
+    position = data.draw(st.integers(0, n - 1))
+    x0 = position_point(ctx, position)
+    traces = []
+    for e in plan.helper_exps:
+        x = ctx.add(x0, ctx.exp(e))
+        value = cw.values[ctx.log(x) + 1 if x else 0]
+        traces.append(ctx.trace(ctx.mul(value, ctx.inv(ctx.exp(e)))))
+    assert combine(plan, traces) == cw.values[position]
 
 
 # -- finishing ------------------------------------------------------
@@ -531,7 +543,7 @@ def test_gw_finish_exhaustive_small_k(gf9) -> None:
     for k in (1, 2, 3):
         for coeffs in itertools.product(range(9), repeat=k):
             cw = encode(gf9, coeffs)
-            assert gw_finish(gf9, _direct_traces(gf9, cw), k) == cw.values[0]
+            assert gw_finish(gf9, _direct_traces(gf9, cw)) == cw.values[0]
 
 
 def test_gw_finish_random_large_k(gf9, gf64_over_gf8) -> None:
@@ -540,52 +552,52 @@ def test_gw_finish_random_large_k(gf9, gf64_over_gf8) -> None:
         for k in ks:
             for _ in range(300 if ctx is gf9 else 100):
                 cw = encode(ctx, tuple(rng.randrange(ctx.order) for _ in range(k)))
-                assert gw_finish(ctx, _direct_traces(ctx, cw), k) == cw.values[0]
+                assert gw_finish(ctx, _direct_traces(ctx, cw)) == cw.values[0]
 
 
 @pytest.mark.parametrize("bad", [9, -1, 10 ** 6])
 def test_out_of_range_traces_refused(gf9, bad) -> None:
     plan = _plan(gf9, 3, 0)
-    traces = _direct_traces(gf9, encode(gf9, (5, 2, 7)))
-    traces[plan.helper_exps[0]] = bad
-    with pytest.raises(ValueError):
-        gw_finish(gf9, traces, 3)
-    with pytest.raises(ValueError):
-        recover_missing_traces(plan, [traces[e] for e in plan.helper_exps])
+    truth = _direct_traces(gf9, encode(gf9, (5, 2, 7)))
+    for i, e in enumerate(plan.helper_exps):
+        downloaded = [truth[h] for h in plan.helper_exps]
+        downloaded[i] = bad
+        with pytest.raises(ValueError, match=rf"helper w\^{e} "):
+            combine(plan, downloaded)
 
 
 @pytest.mark.parametrize("p,m,t", [(3, 1, 2), (2, 2, 2)])
 def test_gw_finish_refuses_traces_outside_base(p, m, t) -> None:
     ctx = construct_field(p, m, t)
+    plan = _plan(ctx, 3, 0)
     truth = _direct_traces(ctx, encode(ctx, (5, 2, 7)))
-    assert gw_finish(ctx, truth, 3) == 5
+    downloaded = [truth[e] for e in plan.helper_exps]
+    assert combine(plan, downloaded) == 5
     outsider = next(x for x in range(ctx.order) if not ctx.in_base_field(x))
-    for e in range(len(truth)):
-        traces = list(truth)
-        traces[e] = outsider
+    for i in range(len(downloaded)):
+        traces = list(downloaded)
+        traces[i] = outsider
         with pytest.raises(ValueError, match="base field"):
-            gw_finish(ctx, traces, 3)
+            combine(plan, traces)
 
 
 def test_gw_finish_validates(gf9) -> None:
-    cw = encode(gf9, (1, 2))
-    truth = _direct_traces(gf9, cw)
-    with pytest.raises(ValueError):
-        gw_finish(gf9, truth, 7)  # beyond the bound
-    zeros = [0] * len(truth)
-    for k in (0, -3):
-        with pytest.raises(ValueError, match="k must be in"):
-            gw_finish(gf9, zeros, k)
-    for bad in (truth[:-1], truth + [0]):
-        with pytest.raises(ValueError, match="every nonzero point"):
-            gw_finish(gf9, bad, 2)
-    # the old contract {point: trace}: with t = 1 every point lies in B,
-    # so read as traces its keys would give a wrong value with no error
-    for ctx in (gf9, construct_field(5, 1, 1)):
-        cw = encode(ctx, (1, 2))
-        by_point = {ctx.exp(e): v for e, v in enumerate(_direct_traces(ctx, cw))}
-        with pytest.raises(ValueError, match="every nonzero point"):
-            gw_finish(ctx, by_point, 2)
+    plan = _plan(gf9, 2, 0)
+    truth = _direct_traces(gf9, encode(gf9, (1, 2)))
+    downloaded = [truth[e] for e in plan.helper_exps]
+    assert combine(plan, downloaded) == 1
+    # too short, too long (the whole trace vector), and the old contract
+    # {point: trace}, whose keys read as traces would give a wrong value
+    by_point = {gf9.exp(e): truth[e] for e in plan.helper_exps}
+    for bad in (downloaded[:-1], downloaded + [0], truth, by_point):
+        with pytest.raises(ValueError, match="helper_exps order"):
+            combine(plan, bad)
+    # with t = 1 every key lies in B, so only the dict's type gives it away
+    gf5 = construct_field(5, 1, 1)
+    plan = _plan(gf5, 2, 0)
+    truth = _direct_traces(gf5, encode(gf5, (1, 2)))
+    with pytest.raises(ValueError, match="helper_exps order"):
+        combine(plan, {gf5.exp(e): truth[e] for e in plan.helper_exps})
 
 
 # -- full pipeline --------------------------------------------------
@@ -737,16 +749,20 @@ def test_bandwidth_table_validates(gf9) -> None:
 
 # -- serialization --------------------------------------------------
 
-def test_plan_document_roundtrip(gf9) -> None:
+def test_plan_document_roundtrip(gf9, monkeypatch) -> None:
     plan = _plan(gf9, 3, 5)
     doc = plan_to_dict(plan)
     assert doc["p"] == 3 and doc["m"] == 1 and doc["t"] == 2
     assert doc["d"] == 3
     assert doc["omitted"] == [5, 6, 7]
     assert doc["cosets"] == [[2, 6], [4]]
-    # survives JSON text round trip
+    # survives JSON text round trip, deriving the window and helpers once
+    layouts = []
+    layout = repair._layout
+    monkeypatch.setattr(repair, "_layout", lambda *a: layouts.append(a) or layout(*a))
     back = plan_from_dict(json.loads(json.dumps(doc)))
     assert plan_to_dict(back) == doc
+    assert len(layouts) == 1
 
 
 def test_plan_document_tamper_detected(gf9) -> None:
@@ -763,3 +779,90 @@ def test_plan_document_tamper_detected(gf9) -> None:
     for bad, field in cases:
         with pytest.raises(ValueError, match=field):
             plan_from_dict(bad)
+
+
+def _no_build(*args):
+    raise AssertionError("window block built for a malformed document")
+
+
+def test_tampered_document_refused_before_the_build(monkeypatch) -> None:
+    """GF(4096)/GF(2) at k = 1 has d = 4094: a stored d = 0 costs no build."""
+    monkeypatch.setattr(linalg.LUFactorization, "__init__", _no_build)
+    doc = {"p": 2, "m": 1, "t": 12, "k": 1, "r": 0, "d": 0,
+           "omitted": [], "helpers": list(range(4095)), "cosets": []}
+    with pytest.raises(ValueError, match="'d'"):
+        plan_from_dict(doc)
+
+
+# documents come from the first towers; the others have other orders, so
+# no document of a first tower is consistent over one of them
+DOC_TOWERS = ((3, 1, 2), (2, 2, 2), (2, 3, 2))
+FOREIGN_TOWERS = ((2, 1, 2), (2, 1, 3), (3, 1, 3), (5, 1, 2), (2, 5, 2), (2, 6, 2))
+INT_KEYS = ("p", "m", "t", "k", "r", "d")
+LIST_KEYS = ("omitted", "helpers", "cosets")
+
+
+@st.composite
+def _malformed_documents(draw):
+    tower = draw(st.sampled_from(DOC_TOWERS))
+    ctx = construct_field(*tower)
+    n, kmax = ctx.order, gw_max_k(ctx)
+    doc = plan_to_dict(_contract_plan(tower, draw(st.integers(1, kmax)),
+                                      draw(st.integers(0, n - 2))))
+    key = draw(st.sampled_from(INT_KEYS + LIST_KEYS))
+    value = doc[key]
+    kind = draw(st.sampled_from(("missing", "type", "range", "tower")))
+    if kind == "missing":
+        del doc[key]
+    elif kind == "tower":
+        doc.update(zip("pmt", draw(st.sampled_from(FOREIGN_TOWERS))))
+    elif kind == "type":
+        wrong = st.one_of(st.booleans(), st.floats(), st.none(), st.text(max_size=2),
+                          st.just(str(value)), st.just(tuple(value) if key in LIST_KEYS
+                                                       else float(value)))
+        if key in LIST_KEYS and value:
+            # one entry of the list, or of a coset in it, of the wrong type
+            i = draw(st.integers(0, len(value) - 1))
+            entry = value[i]
+            value[i] = draw(st.one_of(wrong, st.just([float(x) for x in entry]))
+                            if key == "cosets" else st.one_of(wrong, st.just(float(entry))))
+            doc[key] = draw(st.one_of(st.just(value), wrong))
+        else:
+            doc[key] = draw(wrong)
+    else:
+        foreign = {
+            "p": st.sampled_from((-3, 0, 1, 4, 6, 9)),
+            "m": st.integers(-3, 0),
+            "t": st.integers(-3, 0),
+            "k": st.one_of(st.integers(max_value=0), st.integers(kmax + 1, n + 5)),
+            "r": st.one_of(st.integers(max_value=-1), st.integers(n - 1, 2 * n)),
+            "d": st.integers(-5, n + 5).filter(lambda d: d != value),
+        }
+        if key in foreign:
+            doc[key] = draw(foreign[key])
+        else:
+            # a foreign entry: one added, one dropped, or one out of range
+            entries = list(value)
+            how = draw(st.sampled_from(("add", "drop", "replace") if entries else ("add",)))
+            if how == "add":
+                entries.insert(draw(st.integers(0, len(entries))), draw(st.integers(-n, 2 * n)))
+            else:
+                i = draw(st.integers(0, len(entries) - 1))
+                if how == "drop":
+                    del entries[i]
+                else:
+                    entries[i] = draw(st.sampled_from((-1, n - 1, n, [n], [])))
+            doc[key] = entries
+    return doc
+
+
+@settings(max_examples=150)
+@given(_malformed_documents())
+def test_malformed_plan_documents_are_refused(doc) -> None:
+    """A missing key, a wrong type or bool, or an out-of-range or foreign
+    value is a ValueError before any window block is built, never a
+    KeyError, TypeError or IndexError."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg.LUFactorization, "__init__", _no_build)
+        with pytest.raises(ValueError):
+            plan_from_dict(doc)

@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tracerepair.field import construct_field, is_prime
-from tracerepair.rs import (Codeword, classical_repair, encode, erase,
-                            position_point)
+from tracerepair.oracle import classical_repair
+from tracerepair.rs import Codeword, encode, erase, position_point
 
 
 def test_position_indexing(gf9) -> None:
@@ -109,6 +109,29 @@ def test_erase_arbitrary_position(gf9) -> None:
     assert gone.erased == {5}
     with pytest.raises(ValueError):
         gone.value_at(5)
+
+
+def test_erase_does_not_check_the_values_again(gf9) -> None:
+    """A Codeword's values are checked once, when it is built; erase keeps them."""
+
+    class CountingTuple(tuple):
+        passes = 0
+
+        def __iter__(self):
+            CountingTuple.passes += 1
+            return super().__iter__()
+
+    cw = encode(gf9, (1, 2, 3))
+    built = Codeword(gf9, 3, CountingTuple(cw.values), frozenset())
+    assert CountingTuple.passes == 1
+    gone = erase(erase(built, 5), 0)
+    assert CountingTuple.passes == 1
+    assert gone.values is built.values and gone.erased == {0, 5} and built.erased == set()
+    for j in (5.0, True, -1, 9):
+        with pytest.raises(ValueError, match="position"):
+            erase(built, j)
+    with pytest.raises(ValueError, match="already erased"):
+        erase(gone, 5)
 
 
 def test_classical_repair_gf9(gf9) -> None:
