@@ -5,7 +5,8 @@ Repairing one erased Reed-Solomon symbol, step by step
 A codeword over GF(9) loses the symbol at position 0.  The classical
 fix downloads k full symbols.  Here we walk the trace route instead:
 every helper ships a single GF(3) symbol, a whole window of helpers
-ships nothing at all, and linear algebra over the tower fills the gap.
+ships nothing at all, and one precomputed sum over the helpers fills
+the gap.
 The same plan then repairs a second, nonzero position.
 """
 
@@ -13,7 +14,6 @@ from tracerepair import (build_plan, combine, encode, enumerate_cosets,
                          erase, filter_cosets, construct_field, gw_max_k,
                          position_point, repair_pipeline)
 from tracerepair.oracle import classical_repair
-from tracerepair.repair import recover_missing_traces
 
 ctx = construct_field(3, 1, 2)
 k = 3
@@ -41,17 +41,22 @@ downloaded = [ctx.trace(ctx.mul(lost.value_at(e + 1), ctx.inv(ctx.exp(e))))
               for e in plan.helper_exps]
 print(f"downloaded traces: {downloaded}")
 
-# Step 2: the d checks pin down the silent window's traces; entry e of
-# the trace vector belongs to w^e.  This is combine's first stage.
-traces = recover_missing_traces(plan, downloaded)
-print(f"recovered window:  {[traces[e] for e in plan.omitted_exps]}")
-print(f"trace vector:      {traces}")
+# Step 2: the d checks pin down what the silent window would have sent,
+# so it sends nothing.  Shown here from the codeword itself, for display.
+silent = [ctx.trace(ctx.mul(cw.values[e + 1], ctx.inv(ctx.exp(e))))
+          for e in plan.omitted_exps]
+print(f"silent window would have sent: {silent}")
 
-# Step 3: combine runs both stages on the downloads: with all n-1 traces
-# in hand, f(0) = -sum_e w^e * trace(f(w^e)/w^e) is the erased value.
+# Step 3: with all n-1 traces, f(0) = -sum_e w^e * trace(f(w^e)/w^e).
+# The window's traces are linear in the downloads, so combine takes their
+# part of that sum from the downloads alone, one coefficient per helper
+# fixed by the plan, and adds the helpers' part.
 value = combine(plan, downloaded)
-print(f"rebuilt f(0) = {value}, truth {cw.values[0]}")
-assert value == cw.values[0]
+full = 0
+for e, tau in zip(plan.helper_exps + plan.omitted_exps, downloaded + silent):
+    full = ctx.sub(full, ctx.mul(ctx.exp(e), tau))
+print(f"rebuilt f(0) = {value}, from all n-1 traces {full}, truth {cw.values[0]}")
+assert value == full == cw.values[0]
 print()
 
 # The packaged pipeline does the same and reports the bill.

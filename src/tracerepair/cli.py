@@ -62,20 +62,25 @@ def cmd_dim(args, out) -> int:
     return 0
 
 
-def cmd_plan(args, out) -> int:
+def _plan_for(args):
+    """The plan for (k, r) over the tower the arguments name."""
     ctx = construct_field(args.p, args.m, args.t)
-    cc = enumerate_cosets(ctx.q, ctx.t)
-    plan = build_plan(ctx, filter_cosets(cc, args.k), args.r)
-    print(json.dumps(plan_to_dict(plan), indent=2), file=out)
+    return build_plan(ctx, filter_cosets(enumerate_cosets(ctx.q, ctx.t), args.k), args.r)
+
+
+def cmd_plan(args, out) -> int:
+    print(json.dumps(plan_to_dict(_plan_for(args)), indent=2), file=out)
     return 0
 
 
 def cmd_repair(args, out) -> int:
-    ctx = construct_field(args.p, args.m, args.t)
+    # the plan refuses a bad k or r and draws no random numbers, so it
+    # comes before the message, which draws k of them
+    plan = _plan_for(args)
+    ctx = plan.ctx
     rng = random.Random(args.seed)
-    coeffs = tuple(rng.randrange(ctx.order) for _ in range(args.k))
-    cw = encode(ctx, coeffs)
-    got, report = repair_pipeline(ctx, args.k, args.r, erase(cw, 0))
+    cw = encode(ctx, tuple(rng.randrange(ctx.order) for _ in range(args.k)))
+    got, report = repair_pipeline(ctx, args.k, args.r, erase(cw, 0), plan)
     match = got == cw.values[0]
     if args.format == "json":
         doc = {

@@ -19,11 +19,20 @@ negation multiplies by -1 = w^((p^(m*t) - 1)/2).  The integer encoding
 is the same for every p, so results match digit-wise arithmetic exactly.
 
 The one vector kernel, sum_powers, works on discrete logs straight from
-the tables, with no method call per element.  It serves the leaf and
-combine steps of the encoding transform, the baby and giant steps of
-the repair check sums, the Guruswami-Wootters finish and the window
-solve's sums: a sum of powers of w is an XOR-reduce for p = 2 and a
-Zech chain on the log of the running sum for odd p.
+the tables, with no method call per element: a sum of powers of w is an
+XOR-reduce for p = 2 and a Zech chain on the log of the running sum for
+odd p.  It serves the two sums of a repair, the window's share and the
+Guruswami-Wootters finish, and every step of transform, the length-N
+cyclic transform sum over u of a_u w^(u j), N = p^(m*t) - 1.  That
+transform encodes a codeword and builds a plan's share.  It runs by
+mixed-radix decimation in time over the prime factors of N: a length-L
+transform with radix p', the smallest prime factor of L, splits its
+input by residue mod p', transforms the p' strided subsequences of
+length L/p', and combines them with one sum_powers call of at most p'
+terms per output.  A transform of prime length, or of a subsequence
+with no more nonzero entries than its radix, is evaluated directly, one
+sum_powers call over the nonzero entries per point.  The cost is about
+N times the sum of the prime factors of N.
 
 Construction is deterministic: the modulus is the monic irreducible
 polynomial of degree m*t with the smallest integer encoding, found by
@@ -362,6 +371,38 @@ class FieldTower:
                 z = zech[e - acc]
                 acc = -1 if z < 0 else (acc + z) % mod
         return 0 if acc < 0 else antilog[acc]
+
+    def transform(self, logs: list[int], step: int = 1) -> list[int]:
+        """sum over u of a_u w^(step u j) for j < L = len(logs), L step = order - 1.
+
+        logs[u] is the discrete log of a_u, or -1 where a_u = 0.
+        """
+        mod = self.order - 1
+        size = len(logs)
+        nonzero = [(step * u, lu) for u, lu in enumerate(logs) if lu >= 0]
+        radix = min(_prime_factors(size), default=size)
+        if radix == size or len(nonzero) <= radix:
+            return [self.sum_powers([su * j % mod + lu for su, lu in nonzero])
+                    for j in range(size)]
+        # a_(radix v + s) for s < radix, transformed with w^(step radix)
+        subs = [[self._log[v] for v in self.transform(logs[s::radix], step * radix)]
+                for s in range(radix)]
+        sub_size = size // radix
+        out = []
+        for j in range(size):
+            m = j % sub_size
+            out.append(self.sum_powers([step * s * j % mod + sub[m]
+                                        for s, sub in enumerate(subs) if sub[m] >= 0]))
+        return out
+
+    def logs_minus_one(self) -> list[int]:
+        """log(w^i - 1) for i < order - 1; -1 at i = 0, where w^0 - 1 = 0.
+
+        Subtracting 1 lowers the lowest base-p digit only, so one pass
+        over the antilog table builds the list, as it builds the Zech table.
+        """
+        p, log = self.p, self._log
+        return [log[v - v % p + (v - 1) % p] for v in self._antilog[:self.order - 1]]
 
     # -- tower structure ---------------------------------------------
 

@@ -13,9 +13,10 @@ the repair plan.  Each selected coset with s exponents gives s trace
 polynomials, sum over j of c^(q^j) x^(a q^j), one per shift power c.
 Stacked, their values at the nonzero points form T = V M, where M holds
 the monomial rows omega^(a e) for a in A and V is block-diagonal and
-invertible.  The plan solves with M's window block E alone;
-window_block rebuilds E from the plan's window and cosets, and
-verify_factorization checks T restricted to the window equals V E.
+invertible.  The plan's share rests on M's window block E alone;
+window_block rebuilds E from the plan's window and cosets,
+verify_factorization checks T restricted to the window equals V E,
+and reference_traces recovers the window's traces by elimination.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .cosets import FilteredCosets, enumerate_cosets, filter_cosets
 from .field import FieldTower, check_order_limit, construct_field
@@ -227,6 +229,61 @@ def window_block(plan: RepairPlan) -> list[list[int]]:
     ctx = plan.ctx
     return [[ctx.exp(a * e) for e in plan.omitted_exps]
             for coset in plan.cosets.selected for a in coset.elements]
+
+
+@lru_cache(maxsize=8)
+def _block_inverse(ctx: FieldTower, exps: tuple) -> tuple:
+    """The inverse of (omega^(a c)), a in exps and c < d, by Gauss-Jordan elimination.
+
+    Kept for the last few (tower, A), so a sweep over every r eliminates once.
+    """
+    d = len(exps)
+    add, mul, neg, inv, exp = ctx.add, ctx.mul, ctx.neg, ctx.inv, ctx.exp
+    rows = [[exp(a * c) for c in range(d)] + [int(i == j) for j in range(d)]
+            for i, a in enumerate(exps)]
+    for col in range(d):
+        piv = next(i for i in range(col, d) if rows[i][col])
+        rows[col], rows[piv] = rows[piv], rows[col]
+        f = inv(rows[col][col])
+        prow = rows[col] = [mul(f, x) for x in rows[col]]
+        for i, row in enumerate(rows):
+            if i != col and row[col]:
+                g = neg(row[col])
+                rows[i] = [add(x, mul(g, y)) for x, y in zip(row, prow)]
+    return tuple(tuple(row[d:]) for row in rows)
+
+
+def reference_traces(plan: RepairPlan, downloaded) -> list:
+    """The full trace vector from the helpers' traces, by scalar elimination.
+
+    downloaded lists the traces in plan.helper_exps order.  The window's
+    traces x solve window_block(plan) x = b, b_a = -sum over helpers e of
+    omega^(a e) tau_e.  Row a of that block is omega^(a r) times row a
+    of the block at r = 0, whose inverse, taken once per tower and A,
+    serves every r.  Entry e of the result is tau_e.
+    """
+    ctx, helpers = plan.ctx, plan.helper_exps
+    if not isinstance(downloaded, (list, tuple)) or len(downloaded) != len(helpers):
+        raise ValueError("downloaded traces must list the helpers in helper_exps order")
+    add, mul, exp = ctx.add, ctx.mul, ctx.exp
+    exps = tuple(a for coset in plan.cosets.selected for a in coset.elements)
+    # omega^(-a r) b_a
+    scaled = []
+    for a in exps:
+        acc = 0
+        for e, v in zip(helpers, downloaded):
+            acc = add(acc, mul(exp(a * (e - plan.r)), v))
+        scaled.append(ctx.neg(acc))
+    x = []
+    for row in _block_inverse(ctx, exps):
+        acc = 0
+        for y, b in zip(row, scaled):
+            acc = add(acc, mul(y, b))
+        x.append(acc)
+    traces = [0] * (ctx.order - 1)
+    for e, v in zip(helpers + plan.omitted_exps, [*downloaded, *x]):
+        traces[e] = v
+    return traces
 
 
 def verify_factorization(plan: RepairPlan) -> bool:

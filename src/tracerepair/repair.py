@@ -17,18 +17,15 @@ A window of d = |A| consecutive powers of the primitive element can
 therefore have its traces reconstructed from everyone else instead of
 downloaded: the window block E = (omega^(a (r + c))) is a Vandermonde
 matrix in the distinct nodes omega^a, row a scaled by omega^(a r).
-Every downloaded tau_e lies in B, so the check sum at a q is the q-th
-power of the one at a, and each selected coset needs its sum at its
-first exponent, its leader, only.  The plan keeps E's inverse on the
-leaders' columns, one synthetic division of the polynomial with the
-nodes as roots per coset, and each repair takes every window trace as
-one trace down to B of a sum over the c selected cosets: d c terms.
-The check sums are taken by baby steps and giant steps over a split
-N = n - 1 = R L that the plan picks; L = 1 is one direct sum per
-coset.  With d = 0 the window and E are empty.  The finish is minus
-the same sum at a = 1 over the trace vector, entry e tau_e.  combine
-runs recover_missing_traces and then gw_finish on the helpers' traces,
-and refuses a download outside B, which the fold would turn wrong.
+The window's traces are linear in the helpers' traces, and so is
+their part of the finish.  So the plan holds that part as one
+coefficient per helper, s_((e - r) mod N), N = n - 1, built in closed
+form (linalg), and a repair takes it as one sum over the helpers:
+recover_missing_traces refuses a download outside B, which no helper
+sends, and returns the sum of s_((e - r) mod N) tau_e; gw_finish
+returns minus the sum of omega^e tau_e over the same helpers, and
+combine adds the two.  With d = 0 the window is empty and
+its share is 0.
 """
 
 from __future__ import annotations
@@ -38,7 +35,7 @@ from dataclasses import dataclass, field as dc_field
 from . import linalg
 from .cosets import (CosetCollection, FilteredCosets, dimension_profile,
                      enumerate_cosets, filter_cosets)
-from .field import FieldTower, _prime_factors, construct_field
+from .field import FieldTower, construct_field
 from .rs import Codeword, position_point
 
 
@@ -53,8 +50,7 @@ class RepairPlan:
     dim: int
     omitted_exps: tuple[int, ...]   # window order, may wrap
     helper_exps: tuple[int, ...]    # ascending
-    _e_lu: object = dc_field(repr=False)
-    _stride: int = dc_field(repr=False)   # R of the check sums' split
+    _share: object = dc_field(repr=False)   # the window's share, per helper
 
 
 def gw_max_k(ctx: FieldTower | CosetCollection) -> int:
@@ -64,33 +60,6 @@ def gw_max_k(ctx: FieldTower | CosetCollection) -> int:
     """
     n = ctx.q ** ctx.t
     return n - n // ctx.q
-
-
-# One sum_powers call costs about as much as 8 of the terms handed to it:
-# about 0.8 us against 0.1 us a term at GF(1024), CPython 3.11 on a Xeon.
-_CALL_TERMS = 8
-
-
-def _check_sum_stride(mod: int, helpers: int, cosets: int) -> int:
-    """The divisor R of N = mod whose split makes the check sums cheapest.
-
-    With L = N / R the split hands sum_powers L h + c min(R, h) terms in
-    N + c calls, h helpers and c selected cosets; L = 1 is the direct sums,
-    c h terms in c calls.
-    """
-    divisors = [1]
-    for f in _prime_factors(mod):
-        powers = [1]
-        while mod % (powers[-1] * f) == 0:
-            powers.append(powers[-1] * f)
-        divisors = [x * y for x in divisors for y in powers]
-
-    def cost(stride):
-        steps = mod // stride
-        baby = steps * helpers + _CALL_TERMS * mod if steps > 1 else 0
-        return baby + cosets * (min(stride, helpers) + _CALL_TERMS)
-
-    return min(divisors, key=cost)
 
 
 def _layout(ctx: FieldTower, fc: FilteredCosets, r: int) -> tuple[tuple, tuple]:
@@ -109,24 +78,23 @@ def _layout(ctx: FieldTower, fc: FilteredCosets, r: int) -> tuple[tuple, tuple]:
 
 
 def build_plan(ctx: FieldTower, fc: FilteredCosets, r: int) -> RepairPlan:
-    """Fix the omitted window and invert its block."""
+    """Fix the omitted window and build its share of the repair."""
     return _plan(ctx, fc, r, *_layout(ctx, fc, r))
 
 
 def _plan(ctx: FieldTower, fc: FilteredCosets, r: int, omitted, helpers) -> RepairPlan:
-    # E: rows omega^(a (r + c)), c < d, one per a in A
     return RepairPlan(ctx, fc, fc.k, r, fc.dim, omitted, helpers,
-                      linalg.LUFactorization(ctx, [c.elements for c in fc.selected], r),
-                      _check_sum_stride(ctx.order - 1, len(helpers), len(fc.selected)))
+                      linalg.LUFactorization(ctx, [c.elements for c in fc.selected], r))
 
 
-def recover_missing_traces(plan: RepairPlan, downloaded) -> list:
-    """Fill in the window: the full trace vector from the helpers' traces.
+def recover_missing_traces(plan: RepairPlan, downloaded) -> int:
+    """The window's share of f(x0) from the helpers' traces.
 
-    downloaded lists the traces in plan.helper_exps order; entry e of
-    the result is tau_e.  Anything but a list or tuple of the right length
-    raises ValueError, as does a trace outside B or no field element at
-    all, naming its helper: the Frobenius fold below holds only in B.
+    downloaded lists the traces in plan.helper_exps order.  Anything but
+    a list or tuple of the right length raises ValueError, as does a
+    trace outside B, which no helper sends, or no field element at all,
+    naming its helper.  The share is the sum over helpers e of
+    s_((e - r) mod N) tau_e, the plan's one solve.
     """
     ctx = plan.ctx
     if not isinstance(downloaded, (list, tuple)) or len(downloaded) != len(plan.helper_exps):
@@ -134,60 +102,30 @@ def recover_missing_traces(plan: RepairPlan, downloaded) -> list:
     for e, v in zip(plan.helper_exps, downloaded):
         if not (type(v) is int and 0 <= v < ctx.order and ctx.in_base_field(v)):
             raise ValueError(f"trace from helper w^{e} is not in the base field")
-    mod, stride = ctx.order - 1, plan._stride
-    steps = mod // stride
-    logs = [(e, ctx.log(v)) for e, v in zip(plan.helper_exps, downloaded) if v]
-    # The check sum S_a = sum over e of omega^(a e) * tau_e, split at
-    # N = R L (Cooley and Tukey 1965).  Baby steps: write e = u + s with
-    # s = e mod R; u is a multiple of R, so omega^(a u) depends on a mod L
-    # only, and B_s[m] = sum over e = s (mod R) of omega^(u m) * tau_e is
-    # one sum_powers call for each s < R and m < L.  Giant steps:
-    # S_a = sum over s of omega^(a s) * B_s[a mod L], at most R terms.
-    # With L = 1, B_s[0] is tau_s and the giant steps are the direct sums.
-    # baby[m] lists (s, log B_s[m]) over the nonzero B_s[m], and
-    # twiddles[m][j] is log omega^(u m) for u = R j.
-    if steps == 1:
-        baby = [logs]
-    else:
-        groups = [[] for _ in range(stride)]
-        for e, lv in logs:
-            groups[e % stride].append((e // stride, lv))
-        baby = [[] for _ in range(steps)]
-        twiddles = [[stride * (j * m % steps) for j in range(steps)] for m in range(steps)]
-        sum_powers, log = ctx.sum_powers, ctx.log
-        for s, group in enumerate(groups):
-            for row, tw in zip(baby, twiddles):
-                v = sum_powers([tw[j] + lv for j, lv in group])
-                if v:
-                    row.append((s, log(v)))
-    # A coset is listed a, a q, a q^2, ..., and each tau_e is fixed by
-    # x -> x^q, so S_(a q) = S_a^q: the giant step runs at the coset's
-    # first exponent only, and the solve needs no other.
-    leads = [ctx.neg(ctx.sum_powers([a * s % mod + lb for s, lb in baby[a % steps]]))
-             for a in (coset.elements[0] for coset in plan.cosets.selected)]
-    traces = [0] * mod
-    for e, v in zip(plan.helper_exps + plan.omitted_exps,
-                    [*downloaded, *plan._e_lu.solve(leads)]):
-        traces[e] = v
-    return traces
+    return plan._share.solve(downloaded)
 
 
-def gw_finish(ctx: FieldTower, traces) -> int:
-    """Recombine the trace vector that recover_missing_traces returns into f(x0).
+def gw_finish(ctx: FieldTower, exps, traces) -> int:
+    """The Guruswami-Wootters finish over the traces tau_e at exponents e.
 
-    Entry e of traces is tau_e = trace(f(x0 + omega^e) / omega^e), in B.
-    Expanding f(x0) over the dual basis and exchanging the sums gives
-    f(x0) = -sum over e of omega^e * tau_e, the check sum at 1 negated.
+    tau_e = trace(f(x0 + omega^e) / omega^e), in B.  Expanding f(x0)
+    over the dual basis and exchanging the sums gives
+    f(x0) = -sum over every e < n - 1 of omega^e * tau_e; this is that
+    sum's part over the exponents given.
     """
-    return ctx.neg(ctx.sum_powers([e + ctx.log(v) for e, v in enumerate(traces) if v]))
+    log = ctx.log
+    return ctx.neg(ctx.sum_powers([e + log(v) for e, v in zip(exps, traces) if v]))
 
 
 def combine(plan: RepairPlan, traces) -> int:
     """f(x0) from the helpers' traces, listed in plan.helper_exps order.
 
-    Anything but a list or tuple of that length, or a trace outside B, raises ValueError.
+    The window's share plus the helpers' part of the finish.  Anything
+    but a list or tuple of that length, or a trace outside B, raises
+    ValueError before either sum.
     """
-    return gw_finish(plan.ctx, recover_missing_traces(plan, traces))
+    return plan.ctx.add(recover_missing_traces(plan, traces),
+                        gw_finish(plan.ctx, plan.helper_exps, traces))
 
 
 @dataclass(frozen=True)
@@ -203,8 +141,8 @@ def repair_pipeline(ctx: FieldTower, k: int, r: int, cw: Codeword,
 
     With x0 the erased point, the helper at exponent e is read in place
     at x0 + omega^e and ships tau_e = trace(f(x0 + omega^e) / omega^e);
-    combine recovers the window's traces from the others and returns
-    f(x0) = -sum over e of omega^e * tau_e.
+    combine takes the window's share from the helpers' traces and adds
+    the finish, so it returns f(x0) = -sum over e of omega^e * tau_e.
     Returns the recovered value and the download accounting.  A prebuilt
     plan for the same (k, r) may be passed to amortise setup across many
     erasures, at any positions.
@@ -293,7 +231,7 @@ def plan_from_dict(doc: dict) -> RepairPlan:
     """Rebuild a plan from its summary and cross-check the stored fields.
 
     A malformed document raises ValueError naming the offending field,
-    before the O(d^2) build of the window block's inverse.
+    before the plan's share is built.
     """
     if not isinstance(doc, dict):
         raise ValueError("plan document must be a JSON object")

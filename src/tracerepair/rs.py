@@ -4,15 +4,9 @@ The evaluation set is all of F in a fixed order: position 0 holds the
 value at the field element 0, position j >= 1 holds the value at
 omega^(j-1).  Positions 1 .. N, N = |F| - 1, are therefore the length-N
 cyclic transform of the coefficients, f(omega^j) = sum over i of
-c_i omega^(i j).  Encoding computes it by mixed-radix decimation in time
-over the prime factors of N: a length-L transform with radix p, the
-smallest prime factor of L, splits the coefficients by residue mod p,
-transforms the p strided subsequences of length L/p, and combines them
-with one FieldTower.sum_powers call of at most p terms per output.  A
-transform of prime length, or of a subsequence with no more nonzero
-entries than its radix, is evaluated directly, one sum_powers call over
-the nonzero entries per point.  The cost is about N times the sum of
-the prime factors of N, against N k for evaluating point by point.
+c_i omega^(i j), which FieldTower.transform computes in about N times
+the sum of the prime factors of N terms, against N k for evaluating
+point by point.
 """
 
 from __future__ import annotations
@@ -20,7 +14,7 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass
 
-from .field import FieldTower, _prime_factors
+from .field import FieldTower
 
 
 def position_point(ctx: FieldTower, j: int):
@@ -58,30 +52,6 @@ class Codeword:
         return self.values[j]
 
 
-def _transform(ctx: FieldTower, logs: list[int], step: int) -> list[int]:
-    """sum over u of a_u omega^(step u j) for j < L = len(logs), L step = N.
-
-    logs[u] is the discrete log of a_u, or -1 where a_u = 0.
-    """
-    mod = ctx.order - 1
-    size = len(logs)
-    nonzero = [(step * u, lu) for u, lu in enumerate(logs) if lu >= 0]
-    radix = min(_prime_factors(size), default=size)
-    if radix == size or len(nonzero) <= radix:
-        return [ctx.sum_powers([su * j % mod + lu for su, lu in nonzero])
-                for j in range(size)]
-    # a_(radix v + s) for s < radix, transformed with omega^(step radix)
-    subs = [[ctx.log(v) if v else -1 for v in _transform(ctx, logs[s::radix], step * radix)]
-            for s in range(radix)]
-    sub_size = size // radix
-    out = []
-    for j in range(size):
-        m = j % sub_size
-        out.append(ctx.sum_powers([step * s * j % mod + sub[m]
-                                   for s, sub in enumerate(subs) if sub[m] >= 0]))
-    return out
-
-
 def encode(ctx: FieldTower, coeffs) -> Codeword:
     """Evaluate the polynomial with the given coefficients on all of F.
 
@@ -100,7 +70,7 @@ def encode(ctx: FieldTower, coeffs) -> Codeword:
     cyclic = list(coeffs[:mod]) + [0] * (mod - k)
     if k > mod:
         cyclic[0] = ctx.add(coeffs[0], coeffs[mod])
-    values = _transform(ctx, [ctx.log(c) if c else -1 for c in cyclic], 1)
+    values = ctx.transform([ctx.log(c) if c else -1 for c in cyclic])
     return Codeword(ctx, k, (coeffs[0], *values), frozenset())
 
 

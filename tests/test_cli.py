@@ -1,18 +1,22 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from tracerepair import oracle
+from tracerepair import cli, oracle
 from tracerepair.cli import main
-from tracerepair.field import FieldTower
+from tracerepair.field import TABLE_LIMIT, FieldTower, is_prime
 
 
 def run(capsys, *argv):
@@ -92,6 +96,20 @@ def test_repair_gf64(capsys) -> None:
     doc = json.loads(out)
     assert doc["match"] is True
     assert doc["b_symbols"] == 63  # d = 0 at k = 56
+
+
+def test_repair_refuses_k_and_r_before_drawing_the_message(capsys, monkeypatch) -> None:
+    # k = 7 exceeds the trace-repair bound 6 on GF(9); 10^12 random draws would hang
+    def no_encode(*args):
+        raise AssertionError("message drawn and encoded before k and r were checked")
+
+    monkeypatch.setattr(cli, "encode", no_encode)
+    for k, r, refusal in (("7", "0", "k must be"), (str(10 ** 12), "0", "k must be"),
+                          ("3", "8", "r must be")):
+        code, out, err = run(capsys, "repair", "--p", "3", "--m", "1", "--t", "2",
+                             "--k", k, "--r", r)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and refusal in err
 
 
 def test_bandwidth_csv(capsys) -> None:
@@ -274,3 +292,67 @@ def test_plan_golden_gf243(capsys) -> None:
     assert len(doc["cosets"]) == 25
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "d5289b95b069a4edf16d3f2875db645ba46a40ef208e27aad267e6092d17bbcc")
+
+
+# -- any integers on the command line -------------------------------
+
+def _order(p, m, t):
+    """p^(m t), or None where the tower is refused before any size is computed."""
+    if p < 2 or m < 1 or t < 1 or m * t > 20:   # 2^21 > TABLE_LIMIT
+        return None
+    return p ** (m * t)
+
+
+def _integers(lo, hi):
+    """Mostly in [lo, hi], else small, negative or huge."""
+    within = st.integers(lo, hi)
+    return st.one_of(within, within, within, st.integers(-3, 300),
+                     st.integers(-10 ** 30, 10 ** 30))
+
+
+SMALL_TOWERS = [(p, m, t) for p in (2, 3, 5, 7, 11, 13) for m in range(1, 9)
+                for t in range(1, 9) if p ** (m * t) <= 256]
+
+
+@st.composite
+def _tower(draw):
+    """A tower of order at most 256, or integers naming none of order in (256, TABLE_LIMIT]."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from(SMALL_TOWERS))
+    p, m, t = draw(_integers(2, 13)), draw(_integers(1, 9)), draw(_integers(1, 9))
+    order = _order(p, m, t)
+    assume(order is None or order <= 256 or order > TABLE_LIMIT)
+    return p, m, t
+
+
+@st.composite
+def _argv(draw):
+    """Any subcommand but verify on _tower's integers; verify only where it refuses at once."""
+    p, m, t = draw(_tower())
+    order = _order(p, m, t)
+    command = draw(st.sampled_from(("cosets", "dim", "plan", "repair", "bandwidth", "verify")))
+    flags = {"p": p, "m": m, "t": t}
+    if command == "verify":
+        # a tower it accepts is swept by brute force, which takes seconds
+        whole = not (order and order <= oracle.VERIFY_LIMIT and is_prime(p))
+        keep = draw(st.sets(st.sampled_from("pmt"), min_size=1, max_size=3 if whole else 2))
+        flags = {key: flags[key] for key in "pmt" if key in keep}
+    if command in ("dim", "plan", "repair"):
+        flags["k"] = draw(_integers(1, 12))
+    if command in ("plan", "repair"):
+        flags["r"] = draw(_integers(0, 12))
+    if command in ("repair", "verify"):
+        flags["seed"] = draw(_integers(0, 5))
+    if command == "bandwidth" and draw(st.booleans()):
+        flags["k-max"] = draw(_integers(1, 12))
+    return [command] + [x for key, value in flags.items() for x in (f"--{key}", str(value))]
+
+
+@settings(max_examples=200)
+@given(_argv())
+def test_any_integer_arguments_exit_0_1_or_2(argv) -> None:
+    """Negative, huge or out-of-range integers are refused with exit 2, never
+    a KeyError, IndexError or TypeError."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2), argv

@@ -1,4 +1,4 @@
-"""Property tests: the sum_powers kernel and the window solve against scalar arithmetic."""
+"""Property tests: the sum_powers kernel and the window's share against scalar arithmetic."""
 
 from __future__ import annotations
 
@@ -8,9 +8,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tracerepair import linalg
-from tracerepair.cosets import enumerate_cosets
+from tracerepair.cosets import FilteredCosets, enumerate_cosets
 from tracerepair.field import construct_field
-from tracerepair.oracle import mat_mul
+from tracerepair.oracle import reference_traces
+from tracerepair.repair import build_plan
 
 # p = 2 and odd-p towers, B = GF(p) and B larger than GF(p).
 KERNEL_TOWERS = ((2, 1, 3), (2, 2, 2), (2, 1, 6), (2, 5, 2),
@@ -48,23 +49,28 @@ def test_sum_powers_matches_scalar_add(case) -> None:
 
 @st.composite
 def _window(draw):
-    """Some of a tower's cosets, a window start r and a solution in B, zeros included."""
+    """A plan over any union of a tower's cosets without exponent 1, and
+    B-valued helper traces, zeros included."""
     ctx = _field(draw(st.sampled_from(LU_TOWERS)))
-    cosets = draw(st.lists(st.sampled_from(enumerate_cosets(ctx.q, ctx.t).cosets),
-                           min_size=1, max_size=5, unique=True))
-    r = draw(st.integers(0, ctx.order - 2))
+    cc = enumerate_cosets(ctx.q, ctx.t)
+    cosets = draw(st.lists(st.sampled_from([c for c in cc.cosets if 1 not in c.elements]),
+                           max_size=5, unique=True))
+    fc = FilteredCosets(cc, 1, tuple(cosets), (), sum(c.size for c in cosets))
+    plan = build_plan(ctx, fc, draw(st.integers(0, ctx.order - 2)))
     base = [v for v in range(ctx.order) if ctx.in_base_field(v)]
-    d = sum(c.size for c in cosets)
-    sol = draw(st.lists(st.one_of(st.just(0), st.sampled_from(base)), min_size=d, max_size=d))
-    return ctx, [c.elements for c in cosets], r, sol
+    size = len(plan.helper_exps)
+    return plan, draw(st.lists(st.one_of(st.just(0), st.sampled_from(base)),
+                               min_size=size, max_size=size))
 
 
 @given(_window())
 def test_lu_round_trip(case) -> None:
-    ctx, cosets, r, sol = case
-    exps = [a for coset in cosets for a in coset]
-    mat = [[ctx.pow(ctx.exp(a), r + c) for c in range(len(exps))] for a in exps]
-    b = [row[0] for row in mat_mul(ctx, mat, [[v] for v in sol])]
-    leaders = [exps.index(coset[0]) for coset in cosets]
-    # a solution with zeros, and leader entries that are zero, drive the zero-log paths
-    assert linalg.LUFactorization(ctx, cosets, r).solve([b[i] for i in leaders]) == sol
+    """The share is the window's part of the finish, -sum of omega^e tau_e
+    over the window traces the oracle's elimination recovers."""
+    plan, downloaded = case
+    ctx = plan.ctx
+    traces = reference_traces(plan, downloaded)
+    want = ctx.neg(reduce(ctx.add, (ctx.mul(ctx.exp(e), traces[e])
+                                    for e in plan.omitted_exps), 0))
+    cosets = [c.elements for c in plan.cosets.selected]
+    assert linalg.LUFactorization(ctx, cosets, plan.r).solve(downloaded) == want

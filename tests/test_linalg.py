@@ -5,7 +5,6 @@ import random
 import pytest
 
 from tracerepair import linalg
-from tracerepair.cosets import enumerate_cosets, filter_cosets
 from tracerepair.field import construct_field
 from tracerepair.linalg import SingularMatrixError
 from tracerepair.oracle import rank
@@ -25,28 +24,11 @@ def test_singular_raises(gf9, gf16_over_gf2) -> None:
     for ctx, cosets in ((gf9, [(1,)]), (gf9, [(1, 2)]), (gf16_over_gf2, [(1, 4, 2, 8)])):
         with pytest.raises(ValueError, match="q-cyclotomic"):
             linalg.LUFactorization(ctx, cosets, 0)
-
-
-@pytest.mark.parametrize("p,m,t,k", [(2, 3, 2, 10), (2, 1, 4, 1), (2, 1, 6, 1),
-                                     (7, 1, 3, 147), (3, 1, 2, 2)])
-def test_solve_hands_sum_powers_d_calls_of_at_most_c_terms(p, m, t, k, monkeypatch) -> None:
-    ctx = construct_field(p, m, t)
-    fc = filter_cosets(enumerate_cosets(ctx.q, ctx.t), k)
-    lu = linalg.LUFactorization(ctx, [c.elements for c in fc.selected], 5)
-    c, d = len(fc.selected), fc.dim
-    calls = []
-    real_sum = ctx.sum_powers
-
-    def sum_powers(exps):
-        exps = list(exps)
-        calls.append(len(exps))
-        return real_sum(exps)
-
-    monkeypatch.setattr(ctx, "sum_powers", sum_powers)
-    rng = random.Random(d)
-    lu.solve([rng.randrange(1, ctx.order) for _ in range(c)])
-    assert len(calls) == d > c
-    assert max(calls) <= c and sum(calls) <= d * c
+    # exponent 1, or 9 = 1 mod 8, would make w a node; so would 1 at t = 1
+    for ctx, cosets in ((gf9, [(2, 6), (1, 3)]), (gf9, [(9, 3)]),
+                        (construct_field(5, 1, 1), [(1,)])):
+        with pytest.raises(ValueError, match="exponent 1"):
+            linalg.LUFactorization(ctx, cosets, 0)
 
 
 def test_rank_of_dependent_rows(gf9) -> None:

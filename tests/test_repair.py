@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -15,9 +14,9 @@ from hypothesis import strategies as st
 from tracerepair import linalg, repair
 from tracerepair.cosets import enumerate_cosets, filter_cosets
 from tracerepair.field import construct_field
-from tracerepair.oracle import (VERIFICATION_FIELDS, mat_mul, rank, rank_over_base,
-                                trace_matrix, trace_poly, vander_blocks,
-                                verify_factorization, window_block)
+from tracerepair.oracle import (VERIFICATION_FIELDS, rank, rank_over_base,
+                                reference_traces, trace_matrix, trace_poly,
+                                vander_blocks, verify_factorization, window_block)
 from tracerepair.repair import (bandwidth_table, build_plan, combine, gw_finish,
                                 gw_max_k, plan_from_dict, plan_to_dict,
                                 recover_missing_traces, repair_at,
@@ -183,33 +182,26 @@ def test_factor_matrices_invertible(gf9, gf64_over_gf8) -> None:
                 assert rank(ctx, window_block(plan)) == plan.dim
 
 
-def test_plan_solve_inverts_window_block_every_plan(gf9, gf16_over_gf4,
-                                                    gf64_over_gf8) -> None:
-    """b = E x for x in B^d folds by Frobenius along each coset, and the
-    plan's solve takes x back from b's leader entries alone."""
+def test_combine_matches_reference_every_plan(gf9, gf16_over_gf4, gf64_over_gf8) -> None:
+    """combine on random B-valued downloads, which no codeword need explain,
+    is minus the sum of omega^e tau_e over the oracle's full trace vector."""
     rng = random.Random(17)
     for ctx in (gf9, gf16_over_gf4, gf64_over_gf8):
         cc = enumerate_cosets(ctx.q, ctx.t)
         base = [v for v in range(ctx.order) if ctx.in_base_field(v)]
+        every = range(ctx.order - 1)
         for k in range(1, gw_max_k(ctx) + 1):
             fc = filter_cosets(cc, k)
-            for r in range(ctx.order - 1):
+            for r in every:
                 plan = build_plan(ctx, fc, r)
-                x = [rng.choice(base) for _ in range(plan.dim)]
-                b = [row[0] for row in mat_mul(ctx, window_block(plan), [[v] for v in x])]
-                leads, i = [], 0
-                for coset in fc.selected:
-                    block = b[i:i + coset.size]
-                    assert block[1:] == [ctx.frobenius(v) for v in block[:-1]], (ctx, k, r)
-                    leads.append(block[0])
-                    i += coset.size
-                assert plan._e_lu.solve(leads) == x, (ctx, k, r)
-                assert plan._e_lu.solve([0] * len(leads)) == [0] * plan.dim
+                downloaded = [rng.choice(base) for _ in plan.helper_exps]
+                want = gw_finish(ctx, every, reference_traces(plan, downloaded))
+                assert combine(plan, downloaded) == want, (ctx, k, r)
 
 
 def test_plan_and_repair_gf4096_within_bound() -> None:
-    # d = 1086: a dense elimination of E takes about a minute in pure Python;
-    # Newton's form is O(d^2)
+    # d = 1086: a dense elimination of the window block takes about a minute
+    # in pure Python; the plan's share is c d integer adds and one transform
     ctx = construct_field(2, 6, 2)
     k = gw_max_k(ctx) // 2
     rng = random.Random(29)
@@ -236,7 +228,9 @@ def test_degenerate_plan_no_window(gf4) -> None:
     assert plan.helper_exps == (0, 1, 2)
     assert verify_factorization(plan)
     truth = _direct_traces(gf4, encode(gf4, (3, 2)))
-    assert recover_missing_traces(plan, truth) == truth
+    assert reference_traces(plan, truth) == truth
+    assert recover_missing_traces(plan, truth) == 0
+    assert combine(plan, truth) == 3
 
 
 def test_build_plan_validates(gf9) -> None:
@@ -295,13 +289,20 @@ def test_gw_bound(gf9, gf4, gf64_over_gf8) -> None:
 
 # -- trace recovery -------------------------------------------------
 
+def _window_part(plan, truth) -> int:
+    """The window's part of the finish, -sum over the window of omega^e tau_e."""
+    return gw_finish(plan.ctx, plan.omitted_exps, [truth[e] for e in plan.omitted_exps])
+
+
 def test_recover_matches_direct_traces_exhaustive(gf9) -> None:
+    """The oracle recovers the true window, and the plan's share is its part of the finish."""
     plan = _plan(gf9, 3, 0)
     for coeffs in itertools.product(range(9), repeat=3):
         cw = encode(gf9, coeffs)
         truth = _direct_traces(gf9, cw)
         downloaded = [truth[e] for e in plan.helper_exps]
-        assert recover_missing_traces(plan, downloaded) == truth
+        assert reference_traces(plan, downloaded) == truth
+        assert recover_missing_traces(plan, downloaded) == _window_part(plan, truth)
 
 
 def test_recover_matches_direct_traces_random(gf64_over_gf8) -> None:
@@ -312,8 +313,9 @@ def test_recover_matches_direct_traces_random(gf64_over_gf8) -> None:
         for _ in range(60):
             cw = encode(ctx, tuple(rng.randrange(64) for _ in range(k)))
             truth = _direct_traces(ctx, cw)
-            got = recover_missing_traces(plan, [truth[e] for e in plan.helper_exps])
-            assert got == truth
+            downloaded = [truth[e] for e in plan.helper_exps]
+            assert reference_traces(plan, downloaded) == truth
+            assert recover_missing_traces(plan, downloaded) == _window_part(plan, truth)
 
 
 def test_recover_requires_exact_helper_cover(gf9) -> None:
@@ -355,57 +357,33 @@ def test_one_factorization_per_plan_one_solve_per_repair(gf64_over_gf8,
     assert calls == ["factor", "solve"]
 
 
-def test_check_sums_split_only_where_it_pays(gf64_over_gf8, monkeypatch) -> None:
-    """c direct sums with no split (L = 1); N baby steps and c giant steps with one.
-
-    GF(64)/GF(2) at k = 1 selects cosets of every size: 1, 2, 3 and 6.
-    """
-    for ctx, k, splits in ((gf64_over_gf8, 10, False), (construct_field(2, 1, 6), 1, False),
-                           (construct_field(7, 1, 3), 147, True)):
-        plan = _plan(ctx, k, 5)
-        mod = ctx.order - 1
-        assert (plan._stride < mod) == splits
-        calls = []
-        real_sum = ctx.sum_powers
-        real_solve = linalg.LUFactorization.solve
-
-        def sum_powers(exps, real_sum=real_sum):
-            calls.append("sum")
-            return real_sum(exps)
-
-        def solve(self, rhs, real_solve=real_solve):
-            calls.append("solve")
-            return real_solve(self, rhs)
-
-        # encoding sums powers too, so it runs before the patch
-        cw = encode(ctx, tuple(range(k)))
-        monkeypatch.setattr(ctx, "sum_powers", sum_powers)
-        monkeypatch.setattr(linalg.LUFactorization, "solve", solve)
-        got, _ = repair_pipeline(ctx, k, 5, erase(cw, 0), plan=plan)
-        assert got == cw.values[0]
-        assert calls.count("solve") == 1
-        checks = len(plan.cosets.selected) + (mod if splits else 0)
-        assert calls[:calls.index("solve")] == ["sum"] * checks
-        monkeypatch.undo()
-
-
-# the 7 VERIFICATION_FIELDS, then three towers whose half-rate plans split
-STRIDE_TOWERS = VERIFICATION_FIELDS + ((7, 1, 3), (2, 4, 2), (2, 5, 2))
-
-
-@pytest.mark.parametrize("p,m,t", STRIDE_TOWERS)
-def test_recover_is_the_same_for_every_split(p, m, t) -> None:
+# GF(64)/GF(2) at k = 1 selects cosets of every size: 1, 2, 3 and 6
+@pytest.mark.parametrize("p,m,t,k", [(2, 3, 2, 10), (2, 1, 4, 1), (2, 1, 6, 1),
+                                     (7, 1, 3, 147), (3, 1, 2, 2)])
+def test_repair_is_one_solve_and_two_sums(p, m, t, k, monkeypatch) -> None:
+    """A repair solves once and hands sum_powers two calls of at most n - 1 - d terms."""
     ctx = construct_field(p, m, t)
-    mod = ctx.order - 1
-    rng = random.Random(mod)
-    base = [x for x in range(ctx.order) if ctx.in_base_field(x)]
-    for k in sorted({1, gw_max_k(ctx) // 2}):
-        plan = _plan(ctx, k, rng.randrange(mod))
-        downloaded = [rng.choice(base) for _ in plan.helper_exps]
-        want = recover_missing_traces(plan, downloaded)
-        for stride in (x for x in range(1, mod + 1) if mod % x == 0):
-            split = dataclasses.replace(plan, _stride=stride)
-            assert recover_missing_traces(split, downloaded) == want
+    plan = _plan(ctx, k, 5)
+    calls = []
+    real_sum = ctx.sum_powers
+    real_solve = linalg.LUFactorization.solve
+
+    def sum_powers(exps):
+        calls.append(len(exps))
+        return real_sum(exps)
+
+    def solve(self, traces):
+        calls.append("solve")
+        return real_solve(self, traces)
+
+    # encoding sums powers too, so it runs before the patch
+    cw = encode(ctx, tuple(range(1, k + 1)))
+    monkeypatch.setattr(ctx, "sum_powers", sum_powers)
+    monkeypatch.setattr(linalg.LUFactorization, "solve", solve)
+    got, _ = repair_pipeline(ctx, k, 5, erase(cw, 0), plan=plan)
+    assert got == cw.values[0]
+    assert calls[0] == "solve" and len(calls) == 3
+    assert all(0 < size <= ctx.order - 1 - plan.dim for size in calls[1:])
 
 
 @pytest.mark.parametrize("p,m,t,k", [(2, 1, 4, 2), (2, 1, 4, 4), (2, 3, 2, 10)])
@@ -428,10 +406,10 @@ def test_recover_refuses_non_base_download(p, m, t, k, monkeypatch) -> None:
 
 
 def _recover_digest(p, m, t, k, r, draws=3):
-    """SHA-256 of recover_missing_traces on seeded B-valued downloads.
+    """SHA-256 of the oracle's window traces on seeded B-valued downloads.
 
     The downloads are not traces of a codeword, so every window value
-    depends on every check sum and on the whole solve.
+    depends on every check and on the whole solve.
     """
     ctx = construct_field(p, m, t)
     plan = _plan(ctx, k, r)
@@ -440,13 +418,14 @@ def _recover_digest(p, m, t, k, r, draws=3):
     base = [0] + [ctx.exp(j * s) for j in range(ctx.q - 1)]
     out = []
     for _ in range(draws):
-        traces = recover_missing_traces(plan, [rng.choice(base) for _ in plan.helper_exps])
+        traces = reference_traces(plan, [rng.choice(base) for _ in plan.helper_exps])
         out.append(sorted((ctx.exp(e), traces[e]) for e in plan.omitted_exps))
     sizes = sorted({c.size for c in plan.cosets.selected})
     return sizes, hashlib.sha256(repr(out).encode()).hexdigest()
 
 
-# Digests captured before the check sums were folded by Frobenius.
+# Digests captured from the plan's own window solve, before the check sums
+# were folded by Frobenius; the oracle's elimination gives the same traces.
 @pytest.mark.parametrize("p,m,t,k,r,sizes,digest", [
     (2, 1, 6, 1, 17, [1, 2, 3, 6],
      "ac46ae4745caef68b3945eadb9ee98d34943c50bc3ea3d2d0e6319c2c0c0bd4e"),
@@ -489,9 +468,10 @@ def _trace_vectors(draw):
 @given(_trace_vectors())
 def test_recover_and_finish_give_back_the_truth(case) -> None:
     plan, coeffs, truth = case
-    traces = recover_missing_traces(plan, [truth[e] for e in plan.helper_exps])
-    assert traces == truth
-    assert gw_finish(plan.ctx, traces) == coeffs[0]
+    downloaded = [truth[e] for e in plan.helper_exps]
+    share = recover_missing_traces(plan, downloaded)
+    assert share == _window_part(plan, truth)
+    assert plan.ctx.add(share, gw_finish(plan.ctx, plan.helper_exps, downloaded)) == coeffs[0]
 
 
 @settings(max_examples=60)
@@ -543,7 +523,7 @@ def test_gw_finish_exhaustive_small_k(gf9) -> None:
     for k in (1, 2, 3):
         for coeffs in itertools.product(range(9), repeat=k):
             cw = encode(gf9, coeffs)
-            assert gw_finish(gf9, _direct_traces(gf9, cw)) == cw.values[0]
+            assert gw_finish(gf9, range(8), _direct_traces(gf9, cw)) == cw.values[0]
 
 
 def test_gw_finish_random_large_k(gf9, gf64_over_gf8) -> None:
@@ -552,7 +532,8 @@ def test_gw_finish_random_large_k(gf9, gf64_over_gf8) -> None:
         for k in ks:
             for _ in range(300 if ctx is gf9 else 100):
                 cw = encode(ctx, tuple(rng.randrange(ctx.order) for _ in range(k)))
-                assert gw_finish(ctx, _direct_traces(ctx, cw)) == cw.values[0]
+                truth = _direct_traces(ctx, cw)
+                assert gw_finish(ctx, range(ctx.order - 1), truth) == cw.values[0]
 
 
 @pytest.mark.parametrize("bad", [9, -1, 10 ** 6])
