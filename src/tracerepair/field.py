@@ -18,6 +18,16 @@ the antilog table because adding 1 changes only the lowest base-p digit;
 negation multiplies by -1 = w^((p^(m*t) - 1)/2).  The integer encoding
 is the same for every p, so results match digit-wise arithmetic exactly.
 
+The trace to B is a table over all of F, read once per call.  The
+trace is GF(p)-linear, so the table fills by linearity: from the m*t
+values Tr(p^j), each the sum of the t Frobenius conjugates of the
+basis element x^j, one digit place at a time (an XOR of the table with
+itself shifted for p = 2, the p multiples of Tr(p^j) added to it for
+odd p), about p^(m*t) adds in all.  It is an array of machine ints,
+which the garbage collector does not walk.  B-membership is a log
+test: x != 0 lies in B exactly when log x is a multiple of
+(p^(m*t) - 1)/(q - 1).
+
 The one vector kernel, sum_powers, works on discrete logs straight from
 the tables, with no method call per element: a sum of powers of w is an
 XOR-reduce for p = 2 and a Zech chain on the log of the running sum for
@@ -33,6 +43,12 @@ terms per output.  A transform of prime length, or of a subsequence
 with no more nonzero entries than its radix, is evaluated directly, one
 sum_powers call over the nonzero entries per point.  The cost is about
 N times the sum of the prime factors of N.
+
+The other vector kernel, logs_plus, gives log(x + w^e) for a list of
+exponents e by one table read each: log(x XOR w^e) for p = 2, and for
+odd p the Zech read log x + zech(e - log x).  It places a repair's
+helpers, the points x0 + w^e, and with x = -1 gives a plan's
+log(w^i - 1).
 
 Construction is deterministic: the modulus is the monic irreducible
 polynomial of degree m*t with the smallest integer encoding, found by
@@ -52,6 +68,7 @@ antilog tables.
 
 from __future__ import annotations
 
+from array import array
 from functools import reduce
 from operator import xor
 
@@ -301,6 +318,21 @@ class FieldTower:
             zech = [log[v - v % p + (v + 1) % p] for v in antilog]
             self._zech = zech + zech
             self._log_minus_one = (order - 1) // 2
+        # x != 0 is in B = GF(q) exactly when its log is a multiple of this
+        self._base_step = group // (self.q - 1)
+        # the trace is GF(p)-linear: fill its table digit place by digit
+        # place from the values at the basis elements p^j
+        table = [0]
+        for j in range(self.degree):
+            b = self._conjugate_sum(p ** j)
+            if p == 2:
+                table += [v ^ b for v in table]
+            else:
+                mults = [self.mul(c, b) for c in range(p)]
+                table = [self.add(v, m) for m in mults for v in table]
+        # an array holds no int object per entry, so the garbage collector
+        # has nothing in it to walk
+        self._trace = array("l", table)
 
     # -- arithmetic --------------------------------------------------
 
@@ -395,14 +427,17 @@ class FieldTower:
                                         for s, sub in enumerate(subs) if sub[m] >= 0]))
         return out
 
-    def logs_minus_one(self) -> list[int]:
-        """log(w^i - 1) for i < order - 1; -1 at i = 0, where w^0 - 1 = 0.
-
-        Subtracting 1 lowers the lowest base-p digit only, so one pass
-        over the antilog table builds the list, as it builds the Zech table.
-        """
-        p, log = self.p, self._log
-        return [log[v - v % p + (v - 1) % p] for v in self._antilog[:self.order - 1]]
+    def logs_plus(self, x: int, exps) -> list[int]:
+        """log(x + w^e) for each exponent e in [0, order - 1); -1 where x + w^e = 0."""
+        log = self._log
+        if self.p == 2:
+            antilog = self._antilog
+            return [log[x ^ antilog[e]] for e in exps]
+        if x == 0:
+            return list(exps)
+        # x + w^e = w^lx (1 + w^(e - lx)), one Zech read
+        lx, zech, mod = log[x], self._zech, self.order - 1
+        return [-1 if (z := zech[e - lx]) < 0 else (lx + z) % mod for e in exps]
 
     # -- tower structure ---------------------------------------------
 
@@ -412,17 +447,20 @@ class FieldTower:
             return 0
         return self._antilog[self._log[x] * self.q % (self.order - 1)]
 
-    def trace(self, x: int) -> int:
-        """Trace from F down to B: sum of the t Frobenius conjugates."""
-        acc = x
-        conj = x
+    def _conjugate_sum(self, x: int) -> int:
+        """Sum of the t Frobenius conjugates of x; fills the trace table."""
+        acc = conj = x
         for _ in range(self.t - 1):
             conj = self.frobenius(conj)
             acc = self.add(acc, conj)
         return acc
 
+    def trace(self, x: int) -> int:
+        """Trace from F down to B, read from the table built at construction."""
+        return self._trace[x]
+
     def in_base_field(self, x: int) -> bool:
-        return self.frobenius(x) == x
+        return x == 0 or self._log[x] % self._base_step == 0
 
     def __repr__(self):
         return f"FieldTower(p={self.p}, m={self.m}, t={self.t})"

@@ -55,7 +55,7 @@ class LUFactorization:
             raise ValueError("cosets must be q-cyclotomic, each listed from its leader")
         if 1 % mod in exps:
             raise ValueError("exponent 1 would make w a node")
-        minus_one = ctx.logs_minus_one()
+        minus_one = ctx.logs_plus(ctx.neg(1), range(mod))   # log(w^i - 1)
         twice = minus_one + minus_one   # twice[a + N - b] = L[a - b], a and b in [0, N)
         negs = [mod - b for b in exps]
         to_w = [a + minus_one[(1 - a) % mod] for a in exps]   # log(w - w^a)
@@ -78,6 +78,6 @@ class LUFactorization:
 
     def solve(self, traces) -> int:
         """The window's share of f(x0) from the helpers' traces, in helper order."""
-        log = self._ctx.log
-        return self._ctx.sum_powers([ls + log(v) for ls, v in zip(self._share, traces)
+        log = self._ctx._log
+        return self._ctx.sum_powers([ls + log[v] for ls, v in zip(self._share, traces)
                                      if v and ls >= 0])

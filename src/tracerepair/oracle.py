@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .cosets import FilteredCosets, enumerate_cosets, filter_cosets
 from .field import FieldTower, check_order_limit, construct_field
@@ -100,6 +100,11 @@ def rank(ctx, mat) -> int:
     return r
 
 
+def conjugate_trace(ctx: FieldTower, x: int) -> int:
+    """Trace from F to B as the sum of the t conjugates x^(q^i), not the field's table."""
+    return reduce(ctx.add, [ctx.pow(x, ctx.q ** i) for i in range(ctx.t)])
+
+
 def brute_dim(ctx: FieldTower, k: int) -> int:
     """Nullity over B of the dual-membership system, from first principles.
 
@@ -112,7 +117,7 @@ def brute_dim(ctx: FieldTower, k: int) -> int:
     if type(k) is not int or not 1 <= k <= n - 1:
         raise ValueError(f"k must be in [1, {n - 1}], got {k!r}")
     mod = n - 1
-    rows = [[ctx.trace(ctx.exp(l + e * (j - 1))) for e in range(mod)]
+    rows = [[conjugate_trace(ctx, ctx.exp(l + e * (j - 1))) for e in range(mod)]
             for j in range(k) for l in range(ctx.t)]
     return mod - rank(ctx, rows)
 

@@ -26,6 +26,11 @@ sends, and returns the sum of s_((e - r) mod N) tau_e; gw_finish
 returns minus the sum of omega^e tau_e over the same helpers, and
 combine adds the two.  With d = 0 the window is empty and
 its share is 0.
+
+Every per-helper step of a repair is a table read, with no field method
+call per helper.  The download reads helper e's value v at the slot of
+x0 + omega^e and ships the trace table's entry at v / omega^e, whose
+log is log v - e; the B test is a log test and both sums run on logs.
 """
 
 from __future__ import annotations
@@ -99,8 +104,10 @@ def recover_missing_traces(plan: RepairPlan, downloaded) -> int:
     ctx = plan.ctx
     if not isinstance(downloaded, (list, tuple)) or len(downloaded) != len(plan.helper_exps):
         raise ValueError("downloaded traces must list the helpers in helper_exps order")
+    order, log, step = ctx.order, ctx._log, ctx._base_step
     for e, v in zip(plan.helper_exps, downloaded):
-        if not (type(v) is int and 0 <= v < ctx.order and ctx.in_base_field(v)):
+        # ctx.in_base_field's log test, inline: no method call per helper
+        if not (type(v) is int and 0 <= v < order and (v == 0 or log[v] % step == 0)):
             raise ValueError(f"trace from helper w^{e} is not in the base field")
     return plan._share.solve(downloaded)
 
@@ -113,8 +120,8 @@ def gw_finish(ctx: FieldTower, exps, traces) -> int:
     f(x0) = -sum over every e < n - 1 of omega^e * tau_e; this is that
     sum's part over the exponents given.
     """
-    log = ctx.log
-    return ctx.neg(ctx.sum_powers([e + log(v) for e, v in zip(exps, traces) if v]))
+    log = ctx._log
+    return ctx.neg(ctx.sum_powers([e + log[v] for e, v in zip(exps, traces) if v]))
 
 
 def combine(plan: RepairPlan, traces) -> int:
@@ -140,9 +147,12 @@ def repair_pipeline(ctx: FieldTower, k: int, r: int, cw: Codeword,
     """Repair the one erased position of cw, touching only helper traces.
 
     With x0 the erased point, the helper at exponent e is read in place
-    at x0 + omega^e and ships tau_e = trace(f(x0 + omega^e) / omega^e);
-    combine takes the window's share from the helpers' traces and adds
-    the finish, so it returns f(x0) = -sum over e of omega^e * tau_e.
+    at x0 + omega^e and ships tau_e = trace(f(x0 + omega^e) / omega^e),
+    by table reads only: the slot from the field's logs_plus, then
+    tau_e = trace table[antilog[log v - e]] for the value v there, 0 for
+    v = 0.  combine takes the window's share from the helpers' traces
+    and adds the finish, so it returns f(x0) = -sum over e of
+    omega^e * tau_e.
     Returns the recovered value and the download accounting.  A prebuilt
     plan for the same (k, r) may be passed to amortise setup across many
     erasures, at any positions.
@@ -162,14 +172,16 @@ def repair_pipeline(ctx: FieldTower, k: int, r: int, cw: Codeword,
         raise ValueError("plan does not match requested (k, r)")
 
     (position,) = cw.erased
-    x0 = position_point(ctx, position)
-    add, mul, inv, log, trace = ctx.add, ctx.mul, ctx.inv, ctx.log, ctx.trace
-    downloaded = []
-    for e in plan.helper_exps:
-        a = ctx.exp(e)
-        x = add(x0, a)
-        downloaded.append(trace(mul(cw.value_at(log(x) + 1 if x else 0), inv(a))))
-    nsym = len(plan.helper_exps)
+    helpers = plan.helper_exps
+    values, log, antilog, trace = cw.values, ctx._log, ctx._antilog, ctx._trace
+    mod = ctx.order - 1
+    # Helper e sits at slot log(x0 + w^e) + 1, or at slot 0 where that
+    # point is 0 (logs_plus gives -1 there).  x0 + w^e != x0, and cw has
+    # exactly one erasure, at x0, so no read below touches an erased slot.
+    slots = ctx.logs_plus(position_point(ctx, position), helpers)
+    downloaded = [trace[antilog[log[v] - e + mod]] if (v := values[ls + 1]) else 0
+                  for e, ls in zip(helpers, slots)]
+    nsym = len(helpers)
     return combine(plan, downloaded), BandwidthReport(nsym, nsym, nsym * ctx.bits_per_symbol)
 
 

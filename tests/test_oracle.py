@@ -9,11 +9,22 @@ from hypothesis import strategies as st
 
 from tracerepair import oracle
 from tracerepair.cosets import enumerate_cosets, filter_cosets
+from tracerepair.field import construct_field
 from tracerepair.oracle import (VERIFICATION_FIELDS, VERIFY_LIMIT, brute_dim,
-                                brute_repair_check, equivalence_report,
-                                rank_over_base)
+                                brute_repair_check, conjugate_trace,
+                                equivalence_report, rank_over_base)
 from tracerepair.repair import build_plan, combine, gw_max_k
 from tracerepair.rs import Codeword, encode
+
+
+@pytest.mark.parametrize("tower", VERIFICATION_FIELDS + ((7, 1, 3), (3, 1, 5),
+                                                       (2, 2, 4), (2, 5, 2)))
+def test_trace_table_and_base_test_match_the_conjugates(tower) -> None:
+    """The field's trace table and log test for B, element by element, against x^q."""
+    ctx = construct_field(*tower)
+    for x in range(ctx.order):
+        assert ctx._trace[x] == ctx.trace(x) == conjugate_trace(ctx, x)
+        assert ctx.in_base_field(x) == (ctx.pow(x, ctx.q) == x)
 
 
 def test_brute_dim_gf9_known_values(gf9) -> None:

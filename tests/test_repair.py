@@ -14,9 +14,10 @@ from hypothesis import strategies as st
 from tracerepair import linalg, repair
 from tracerepair.cosets import enumerate_cosets, filter_cosets
 from tracerepair.field import construct_field
-from tracerepair.oracle import (VERIFICATION_FIELDS, rank, rank_over_base,
-                                reference_traces, trace_matrix, trace_poly,
-                                vander_blocks, verify_factorization, window_block)
+from tracerepair.oracle import (VERIFICATION_FIELDS, conjugate_trace, rank,
+                                rank_over_base, reference_traces, trace_matrix,
+                                trace_poly, vander_blocks, verify_factorization,
+                                window_block)
 from tracerepair.repair import (bandwidth_table, build_plan, combine, gw_finish,
                                 gw_max_k, plan_from_dict, plan_to_dict,
                                 recover_missing_traces, repair_at,
@@ -30,7 +31,7 @@ def _plan(ctx, k, r):
 
 def _direct_traces(ctx, cw):
     """The trace vector of cw at 0: entry e is trace(f(omega^e) / omega^e)."""
-    return [ctx.trace(ctx.mul(cw.values[e + 1], ctx.inv(ctx.exp(e))))
+    return [conjugate_trace(ctx, ctx.mul(cw.values[e + 1], ctx.inv(ctx.exp(e))))
             for e in range(ctx.order - 1)]
 
 
@@ -513,7 +514,7 @@ def test_combine_gives_back_the_stored_symbol(tower, data) -> None:
     for e in plan.helper_exps:
         x = ctx.add(x0, ctx.exp(e))
         value = cw.values[ctx.log(x) + 1 if x else 0]
-        traces.append(ctx.trace(ctx.mul(value, ctx.inv(ctx.exp(e)))))
+        traces.append(conjugate_trace(ctx, ctx.mul(value, ctx.inv(ctx.exp(e)))))
     assert combine(plan, traces) == cw.values[position]
 
 
@@ -693,6 +694,24 @@ def test_repair_at_shifted_position(gf9) -> None:
         got, report = repair_at(gf9, 3, 2, erase(cw, pos), pos)
         assert got == cw.values[pos]
         assert report.b_symbols == 5
+
+
+def test_download_never_reads_the_erased_slot() -> None:
+    """erase keeps the erased value; a wrong value there must not change the repair."""
+    rng = random.Random(27)
+    for tower, positions in (((3, 1, 2), None), ((2, 2, 2), None), ((3, 1, 3), None),
+                             ((7, 1, 3), 50)):
+        ctx = construct_field(*tower)
+        n = ctx.order
+        k = gw_max_k(ctx) // 2
+        plan = _plan(ctx, k, rng.randrange(n - 1))
+        cw = encode(ctx, [rng.randrange(n) for _ in range(k)])
+        for pos in range(n) if positions is None else rng.sample(range(n), positions):
+            lost = erase(cw, pos)
+            wrong = list(cw.values)
+            wrong[pos] = (wrong[pos] + 1) % n
+            object.__setattr__(lost, "values", tuple(wrong))
+            assert repair_at(ctx, k, plan.r, lost, pos, plan)[0] == cw.values[pos]
 
 
 def test_repair_at_position_zero_delegates(gf9) -> None:
