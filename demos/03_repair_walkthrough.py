@@ -59,8 +59,8 @@ print(f"rebuilt f(0) = {value}, from all n-1 traces {full}, truth {cw.values[0]}
 assert value == full == cw.values[0]
 print()
 
-# The packaged pipeline does the same and reports the bill.
-value2, report = repair_pipeline(ctx, k, 0, lost)
+# The packaged pipeline does the same with the same plan and reports the bill.
+value2, report = repair_pipeline(ctx, k, 0, lost, plan)
 assert value2 == cw.values[0]
 bits = ctx.bits_per_symbol
 print(f"trace repair:    {report.b_symbols} GF(3) symbols = {report.bits} bits")

@@ -455,12 +455,17 @@ class FieldTower:
             acc = self.add(acc, conj)
         return acc
 
+    def _element(self, x: int) -> int:
+        if type(x) is not int or not 0 <= x < self.order:
+            raise ValueError(f"{x!r} is not an element of GF({self.order})")
+        return x
+
     def trace(self, x: int) -> int:
         """Trace from F down to B, read from the table built at construction."""
-        return self._trace[x]
+        return self._trace[self._element(x)]
 
     def in_base_field(self, x: int) -> bool:
-        return x == 0 or self._log[x] % self._base_step == 0
+        return self._element(x) == 0 or self._log[x] % self._base_step == 0
 
     def __repr__(self):
         return f"FieldTower(p={self.p}, m={self.m}, t={self.t})"

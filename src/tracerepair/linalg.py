@@ -3,17 +3,14 @@
 Recovering the window's traces and the Guruswami-Wootters finish are
 both linear in the helpers' traces, so the window's part of f(x0) is
 one sum over the helpers with coefficients fixed by the plan.
-build_plan builds them here, in closed form and in discrete logs, and
+build_plan builds them here, in closed form and in discrete logs, from
+the cosets and helpers it derives from the tower, k and r alone, and
 recover_missing_traces applies them once per repair through the
 field's sum_powers kernel.  The scalar elimination that checks them
 lives in the oracle, which shares no kernel with the repair path.
 """
 
 from __future__ import annotations
-
-
-class SingularMatrixError(ValueError):
-    pass
 
 
 class LUFactorization:
@@ -35,8 +32,8 @@ class LUFactorization:
     their sum over A, and log P'(w^a) is the sum over b != a of
     b + L[a - b].  P has coefficients in B, so P'(w^(a q)) = P'(w^a)^q,
     and only the c coset leaders need that sum: c d integer adds.  Then
-    s is one length-N transform of the mu, and w may not be a node: A
-    must not hold 1, whose coset the filter always drops.
+    s is one length-N transform of the mu, read at (e - r) mod N per
+    helper e.  w is no node: the filter always drops the coset of 1.
 
     The class keeps the name of the LU factorization it replaced,
     because the benchmark's layer names refer to it: linalg.lu_factor
@@ -44,17 +41,9 @@ class LUFactorization:
     solve, the one sum of n - 1 - d terms per repair.
     """
 
-    def __init__(self, ctx, cosets, r):
+    def __init__(self, ctx, cosets, r, helpers):
         mod, q = ctx.order - 1, ctx.q
-        exps = [a % mod for coset in cosets for a in coset]
-        d = len(exps)
-        if len(set(exps)) != d:
-            raise SingularMatrixError("exponents must be distinct mod the group order")
-        # distinct, and each listed a, a q, a q^2, ... back to a: each is a's coset
-        if [a * q % mod for a in exps] != [b % mod for c in cosets for b in c[1:] + c[:1]]:
-            raise ValueError("cosets must be q-cyclotomic, each listed from its leader")
-        if 1 % mod in exps:
-            raise ValueError("exponent 1 would make w a node")
+        exps = [a for coset in cosets for a in coset.elements]
         minus_one = ctx.logs_plus(ctx.neg(1), range(mod))   # log(w^i - 1)
         twice = minus_one + minus_one   # twice[a + N - b] = L[a - b], a and b in [0, N)
         negs = [mod - b for b in exps]
@@ -67,14 +56,13 @@ class LUFactorization:
             a = exps[i]
             # log P'(w^a) at the leader; the b = a term adds L[0] = -1
             deriv = total - a + 1 + sum([twice[a + nb] for nb in negs])
-            for _ in coset:
+            for _ in coset.elements:
                 mu[exps[i]] = (top - deriv - to_w[i]) % mod
                 deriv = deriv * q % mod
                 i += 1
         s, log = ctx.transform(mu), ctx.log
         self._ctx = ctx
-        self._share = [log(v) if (v := s[(e - r) % mod]) else -1
-                       for e in range(mod) if (e - r) % mod >= d]
+        self._share = [log(v) if (v := s[(e - r) % mod]) else -1 for e in helpers]
 
     def solve(self, traces) -> int:
         """The window's share of f(x0) from the helpers' traces, in helper order."""

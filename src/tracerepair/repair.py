@@ -89,7 +89,7 @@ def build_plan(ctx: FieldTower, fc: FilteredCosets, r: int) -> RepairPlan:
 
 def _plan(ctx: FieldTower, fc: FilteredCosets, r: int, omitted, helpers) -> RepairPlan:
     return RepairPlan(ctx, fc, fc.k, r, fc.dim, omitted, helpers,
-                      linalg.LUFactorization(ctx, [c.elements for c in fc.selected], r))
+                      linalg.LUFactorization(ctx, fc.selected, r, helpers))
 
 
 def recover_missing_traces(plan: RepairPlan, downloaded) -> int:
@@ -143,7 +143,7 @@ class BandwidthReport:
 
 
 def repair_pipeline(ctx: FieldTower, k: int, r: int, cw: Codeword,
-                    plan: RepairPlan | None = None) -> tuple[int, BandwidthReport]:
+                    plan: RepairPlan) -> tuple[int, BandwidthReport]:
     """Repair the one erased position of cw, touching only helper traces.
 
     With x0 the erased point, the helper at exponent e is read in place
@@ -153,9 +153,8 @@ def repair_pipeline(ctx: FieldTower, k: int, r: int, cw: Codeword,
     v = 0.  combine takes the window's share from the helpers' traces
     and adds the finish, so it returns f(x0) = -sum over e of
     omega^e * tau_e.
-    Returns the recovered value and the download accounting.  A prebuilt
-    plan for the same (k, r) may be passed to amortise setup across many
-    erasures, at any positions.
+    Returns the recovered value and the download accounting.  plan is
+    build_plan's for (k, r); the caller builds it once for every erasure.
     """
     if cw.ctx is not ctx:
         raise ValueError("codeword built over a different field")
@@ -163,12 +162,9 @@ def repair_pipeline(ctx: FieldTower, k: int, r: int, cw: Codeword,
         raise ValueError(f"codeword has message length {cw.k}, not {k!r}")
     if len(cw.erased) != 1:
         raise ValueError("exactly one position must be erased")
-    if plan is None:
-        cc = enumerate_cosets(ctx.q, ctx.t)
-        plan = build_plan(ctx, filter_cosets(cc, k), r)
-    elif plan.ctx is not ctx:
+    if plan.ctx is not ctx:
         raise ValueError("plan built over a different field")
-    elif plan.k != k or plan.r != r or type(r) is not int:
+    if plan.k != k or plan.r != r or type(r) is not int:
         raise ValueError("plan does not match requested (k, r)")
 
     (position,) = cw.erased
@@ -186,11 +182,11 @@ def repair_pipeline(ctx: FieldTower, k: int, r: int, cw: Codeword,
 
 
 def repair_at(ctx: FieldTower, k: int, r: int, cw: Codeword, position: int,
-              plan: RepairPlan | None = None) -> tuple[int, BandwidthReport]:
-    """Repair cw at position, which must be its one erasure.
+              plan: RepairPlan) -> tuple[int, BandwidthReport]:
+    """Repair cw at position, which must be its one erasure, with plan.
 
     The value is f(x0) = -sum over e of omega^e * tau_e at the
-    position's point x0, as computed by repair_pipeline.
+    position's point x0, as repair_pipeline computes it with plan.
     """
     if type(position) is not int or cw.erased != {position}:
         raise ValueError(f"exactly position {position!r} must be erased")

@@ -62,7 +62,9 @@ def test_criterion_2_dimension_golden() -> None:
 def test_criterion_3_pipeline_bandwidth_golden(gf9) -> None:
     cw = encode(gf9, (5, 2, 7))
     gone = erase(cw, 0)
-    elapsed, got = _best_of(lambda: repair_pipeline(gf9, 3, 0, gone))
+    # the plan is built inside the timed call, cosets and all
+    elapsed, got = _best_of(lambda: repair_pipeline(gf9, 3, 0, gone, build_plan(
+        gf9, filter_cosets(enumerate_cosets(gf9.q, gf9.t), 3), 0)))
     value, rep = got
     row = bandwidth_table(gf9, 3)[2]
     bits = gf9.bits_per_symbol
@@ -233,7 +235,8 @@ def test_criterion_9_property_suites(gf9, gf64_over_gf8) -> None:
         coeffs = tuple(rng.randrange(9) for _ in range(k))
         cw = encode(gf9, coeffs)
         gone = erase(cw, 0)
-        got = {repair_pipeline(gf9, k, r, gone)[0] for r in range(8)}
+        got = {repair_pipeline(gf9, k, r, gone, build_plan(
+            gf9, filter_cosets(enumerate_cosets(gf9.q, gf9.t), k), r))[0] for r in range(8)}
         if got != {cw.values[0]}:
             problems.append(("window", k, got))
 

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
-from tracerepair.cosets import dimension_profile, enumerate_cosets, filter_cosets
+from tracerepair.cosets import (CosetCollection, FilteredCosets, dimension_profile,
+                                enumerate_cosets, filter_cosets)
 from tracerepair.field import is_prime
 
 SEVEN_FIELDS = ((2, 2), (3, 2), (4, 2), (2, 3), (2, 4), (5, 2), (8, 2))
@@ -124,6 +127,23 @@ def test_filter_k_out_of_range() -> None:
     for k in (2.5, 2.0, True):
         with pytest.raises(ValueError, match="must be an integer"):
             filter_cosets(cc, k)
+
+
+def test_records_derive_their_fields() -> None:
+    """A record cannot carry a selection, d or coset list of its own, so a
+    plan's window cannot disagree with its nodes."""
+    cc = enumerate_cosets(3, 2)
+    fc = filter_cosets(cc, 3)
+    with pytest.raises(TypeError):
+        FilteredCosets(cc, 3, fc.selected, fc.removed, fc.dim - 1)
+    with pytest.raises(TypeError):
+        CosetCollection(3, 2, cc.cosets)
+    with pytest.raises(ValueError):
+        replace(fc, dim=fc.dim + 1)
+    with pytest.raises(ValueError):
+        replace(fc, selected=fc.selected + fc.removed[-1:])
+    assert replace(fc, k=2) == filter_cosets(cc, 2)
+    assert CosetCollection(3, 2) == cc and FilteredCosets(cc, 3) == fc
 
 
 def test_two_element_field_refused() -> None:

@@ -263,11 +263,17 @@ def test_pow_edge_cases(gf9) -> None:
     assert gf9.pow(gf9.exp(1), 8) == 1
 
 
-def test_trace_values(gf4, gf9) -> None:
+def test_trace_values(gf4, gf9, gf16_over_gf4) -> None:
     # trace of 1 is t mod p (as a base-field constant)
     assert gf4.trace(1) == 0          # 2 mod 2
     assert gf9.trace(1) == 2          # 2 mod 3
     assert gf9.trace(0) == 0
+    # only an int in [0, order) is an element: no negative index reads the tables
+    for x in (-1, -5, -16, 16, 1.0, True, "1"):
+        with pytest.raises(ValueError, match="not an element"):
+            gf16_over_gf4.trace(x)
+        with pytest.raises(ValueError, match="not an element"):
+            gf16_over_gf4.in_base_field(x)
 
 
 def test_trace_lands_in_base_field(gf9, gf8, gf16_over_gf4, gf64_over_gf8) -> None:

@@ -3,15 +3,15 @@
 from __future__ import annotations
 
 from functools import reduce
+from types import SimpleNamespace
 
 from hypothesis import given
 from hypothesis import strategies as st
 
 from tracerepair import linalg
-from tracerepair.cosets import FilteredCosets, enumerate_cosets
+from tracerepair.cosets import enumerate_cosets
 from tracerepair.field import construct_field
 from tracerepair.oracle import reference_traces
-from tracerepair.repair import build_plan
 
 # p = 2 and odd-p towers, B = GF(p) and B larger than GF(p).
 KERNEL_TOWERS = ((2, 1, 3), (2, 2, 2), (2, 1, 6), (2, 5, 2),
@@ -49,14 +49,18 @@ def test_sum_powers_matches_scalar_add(case) -> None:
 
 @st.composite
 def _window(draw):
-    """A plan over any union of a tower's cosets without exponent 1, and
-    B-valued helper traces, zeros included."""
+    """A stand-in plan over any union of a tower's cosets without exponent 1,
+    with its window and helpers, and B-valued helper traces, zeros included."""
     ctx = _field(draw(st.sampled_from(LU_TOWERS)))
     cc = enumerate_cosets(ctx.q, ctx.t)
     cosets = draw(st.lists(st.sampled_from([c for c in cc.cosets if 1 not in c.elements]),
                            max_size=5, unique=True))
-    fc = FilteredCosets(cc, 1, tuple(cosets), (), sum(c.size for c in cosets))
-    plan = build_plan(ctx, fc, draw(st.integers(0, ctx.order - 2)))
+    mod, d = ctx.order - 1, sum(c.size for c in cosets)
+    r = draw(st.integers(0, mod - 1))
+    # the fields reference_traces reads; no filter selects such a union for one k
+    plan = SimpleNamespace(ctx=ctx, r=r, cosets=SimpleNamespace(selected=tuple(cosets)),
+                           omitted_exps=tuple((r + c) % mod for c in range(d)),
+                           helper_exps=tuple(e for e in range(mod) if (e - r) % mod >= d))
     base = [v for v in range(ctx.order) if ctx.in_base_field(v)]
     size = len(plan.helper_exps)
     return plan, draw(st.lists(st.one_of(st.just(0), st.sampled_from(base)),
@@ -72,5 +76,5 @@ def test_lu_round_trip(case) -> None:
     traces = reference_traces(plan, downloaded)
     want = ctx.neg(reduce(ctx.add, (ctx.mul(ctx.exp(e), traces[e])
                                     for e in plan.omitted_exps), 0))
-    cosets = [c.elements for c in plan.cosets.selected]
-    assert linalg.LUFactorization(ctx, cosets, plan.r).solve(downloaded) == want
+    share = linalg.LUFactorization(ctx, plan.cosets.selected, plan.r, plan.helper_exps)
+    assert share.solve(downloaded) == want

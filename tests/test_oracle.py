@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-import dataclasses
+import random
 import types
 
 import pytest
@@ -12,7 +12,7 @@ from tracerepair.cosets import enumerate_cosets, filter_cosets
 from tracerepair.field import construct_field
 from tracerepair.oracle import (VERIFICATION_FIELDS, VERIFY_LIMIT, brute_dim,
                                 brute_repair_check, conjugate_trace,
-                                equivalence_report, rank_over_base)
+                                equivalence_report, rank, rank_over_base)
 from tracerepair.repair import build_plan, combine, gw_max_k
 from tracerepair.rs import Codeword, encode
 
@@ -55,6 +55,35 @@ def test_formula_matches_oracle_small_fields(gf4, gf9, gf8, gf16_over_gf2) -> No
         cc = enumerate_cosets(ctx.q, ctx.t)
         for k in range(1, ctx.order):
             assert filter_cosets(cc, k).dim == brute_dim(ctx, k), (ctx, k)
+
+
+def test_identity(gf9) -> None:
+    ident = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
+    assert rank(gf9, ident) == 4
+
+
+def test_rank_of_dependent_rows(gf9) -> None:
+    row = [gf9.exp(e) for e in range(5)]
+    scaled = [gf9.mul(gf9.exp(3), x) for x in row]
+    assert rank(gf9, [row, scaled]) == 1
+    assert rank(gf9, [[0, 0], [0, 0]]) == 0
+
+
+def test_rank_plus_nullity_bound(gf9) -> None:
+    rng = random.Random(3)
+    for _ in range(20):
+        rows = rng.randrange(1, 5)
+        cols = rng.randrange(1, 5)
+        a = [[rng.randrange(9) for _ in range(cols)] for _ in range(rows)]
+        r = rank(gf9, a)
+        assert 0 <= r <= min(rows, cols)
+
+
+def test_vandermonde_invertible(gf9) -> None:
+    # distinct nonzero points give a nonsingular Vandermonde
+    pts = [gf9.exp(e) for e in (0, 2, 3, 6)]
+    v = [[gf9.pow(x, i) for i in range(4)] for x in pts]
+    assert rank(gf9, v) == 4
 
 
 def test_rank_over_base(gf9) -> None:
@@ -116,8 +145,8 @@ def test_equivalence_report_fault_injection(monkeypatch) -> None:
     real = oracle.filter_cosets
 
     def off_by_one(cc, k):
-        fc = real(cc, k)
-        return dataclasses.replace(fc, dim=fc.dim + 1)
+        # a FilteredCosets derives its dim, so the wrong one needs a stand-in
+        return types.SimpleNamespace(dim=real(cc, k).dim + 1)
 
     monkeypatch.setattr(oracle, "filter_cosets", off_by_one)
     rows = equivalence_report(fields=((2, 1, 2),))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import tracerepair
 
 PUBLIC = [
@@ -19,3 +21,12 @@ def test_all_is_the_sorted_public_surface() -> None:
     assert tracerepair.__all__ == PUBLIC
     for name in PUBLIC:
         assert getattr(tracerepair, name) is not None, name
+
+
+def test_coset_records_take_only_what_they_derive_from() -> None:
+    """Every other field is computed from these, so a settable copy shows up here."""
+    def init_fields(cls):
+        return tuple(f.name for f in dataclasses.fields(cls) if f.init)
+
+    assert init_fields(tracerepair.CosetCollection) == ("q", "t")
+    assert init_fields(tracerepair.FilteredCosets) == ("collection", "k")

@@ -269,9 +269,6 @@ def test_plan_and_repair_refuse_malformed_or_out_of_range_arguments(gf16_over_gf
     calls = (
         lambda: build_plan(ctx, filter_cosets(cc, bad_k), r),
         lambda: build_plan(ctx, filter_cosets(cc, k), bad_r),
-        lambda: repair_at(ctx, bad_k, r, cw, pos),
-        lambda: repair_at(ctx, k, bad_r, cw, pos),
-        lambda: repair_at(ctx, k, r, cw, bad_pos),
         lambda: repair_at(ctx, bad_k, r, cw, pos, plan=plan),
         lambda: repair_at(ctx, k, bad_r, cw, pos, plan=plan),
         lambda: repair_at(ctx, k, r, cw, bad_pos, plan=plan),
@@ -586,7 +583,7 @@ def test_gw_finish_validates(gf9) -> None:
 
 def test_pipeline_gf9_golden(gf9) -> None:
     cw = encode(gf9, (5, 2, 7))
-    got, report = repair_pipeline(gf9, 3, 0, erase(cw, 0))
+    got, report = repair_pipeline(gf9, 3, 0, erase(cw, 0), _plan(gf9, 3, 0))
     assert got == cw.values[0]
     assert report.helpers_contacted == 5
     assert report.b_symbols == 5
@@ -595,21 +592,21 @@ def test_pipeline_gf9_golden(gf9) -> None:
 
 def test_pipeline_k1_two_helpers(gf9) -> None:
     cw = encode(gf9, (8,))
-    got, report = repair_pipeline(gf9, 1, 3, erase(cw, 0))
+    got, report = repair_pipeline(gf9, 1, 3, erase(cw, 0), _plan(gf9, 1, 3))
     assert got == 8
     assert report.b_symbols == 2
 
 
 def test_pipeline_degenerate_plain_gw(gf4) -> None:
     cw = encode(gf4, (3, 2))
-    got, report = repair_pipeline(gf4, 2, 0, erase(cw, 0))
+    got, report = repair_pipeline(gf4, 2, 0, erase(cw, 0), _plan(gf4, 2, 0))
     assert got == 3
     assert report.b_symbols == 3  # no omissions: every helper ships one bit
 
 
 def test_pipeline_window_invariance(gf9) -> None:
     cw = erase(encode(gf9, (4, 0, 2)), 0)
-    results = {repair_pipeline(gf9, 3, r, cw)[0] for r in range(8)}
+    results = {repair_pipeline(gf9, 3, r, cw, _plan(gf9, 3, r))[0] for r in range(8)}
     assert results == {4}
 
 
@@ -623,29 +620,29 @@ def test_pipeline_with_prebuilt_plan(gf9) -> None:
 
 def test_pipeline_validates(gf9, gf4) -> None:
     cw = encode(gf9, (1, 2, 3))
+    plan = _plan(gf9, 3, 0)
     with pytest.raises(ValueError, match="exactly one position"):
-        repair_pipeline(gf9, 3, 0, cw)  # nothing erased
+        repair_pipeline(gf9, 3, 0, cw, plan)  # nothing erased
     with pytest.raises(ValueError, match="exactly one position"):
-        repair_pipeline(gf9, 3, 0, erase(erase(cw, 0), 4))
+        repair_pipeline(gf9, 3, 0, erase(erase(cw, 0), 4), plan)
     with pytest.raises(ValueError):
-        repair_pipeline(gf9, 2, 0, erase(cw, 0))  # wrong k
+        repair_pipeline(gf9, 2, 0, erase(cw, 0), _plan(gf9, 2, 0))  # wrong k
     with pytest.raises(ValueError):
-        repair_pipeline(gf9, 3, 1, erase(cw, 0), plan=_plan(gf9, 3, 0))
+        repair_pipeline(gf9, 3, 1, erase(cw, 0), plan=plan)
     other = encode(gf4, (1, 2))
     with pytest.raises(ValueError):
-        repair_pipeline(gf9, 2, 0, erase(other, 0))
+        repair_pipeline(gf9, 2, 0, erase(other, 0), _plan(gf9, 2, 0))
 
 
 def test_pipeline_refuses_non_int_k_r_and_position(gf9) -> None:
     cw = encode(gf9, (1, 2, 3))
     lost = erase(cw, 0)
     plan = _plan(gf9, 3, 0)
-    for prebuilt in (None, plan):
-        for k, r in ((3, 0.0), (3, False), (3.0, 0), (True, 0)):
-            with pytest.raises(ValueError):
-                repair_pipeline(gf9, k, r, lost, plan=prebuilt)
-            with pytest.raises(ValueError):
-                repair_at(gf9, k, r, lost, 0, prebuilt)
+    for k, r in ((3, 0.0), (3, False), (3.0, 0), (True, 0)):
+        with pytest.raises(ValueError):
+            repair_pipeline(gf9, k, r, lost, plan=plan)
+        with pytest.raises(ValueError):
+            repair_at(gf9, k, r, lost, 0, plan)
     with pytest.raises(ValueError, match="not '3'"):
         repair_pipeline(gf9, "3", 0, lost, plan=plan)
     # {1} == {True} == {1.0}, so only the type tells these from position 1
@@ -681,17 +678,18 @@ def test_repair_at_builds_no_codeword(gf9, monkeypatch) -> None:
         raise AssertionError("repair built a codeword")
 
     monkeypatch.setattr(repair, "Codeword", no_codeword)
-    cw = encode(gf9, (2, 7, 1))
+    cw, plan = encode(gf9, (2, 7, 1)), _plan(gf9, 3, 1)
     for pos in (1, 5, 8):
-        assert repair_at(gf9, 3, 1, erase(cw, pos), pos)[0] == cw.values[pos]
+        assert repair_at(gf9, 3, 1, erase(cw, pos), pos, plan)[0] == cw.values[pos]
 
 
 def test_repair_at_shifted_position(gf9) -> None:
     rng = random.Random(41)
+    plan = _plan(gf9, 3, 2)
     for pos in (1, 4, 8):
         coeffs = tuple(rng.randrange(9) for _ in range(3))
         cw = encode(gf9, coeffs)
-        got, report = repair_at(gf9, 3, 2, erase(cw, pos), pos)
+        got, report = repair_at(gf9, 3, 2, erase(cw, pos), pos, plan)
         assert got == cw.values[pos]
         assert report.b_symbols == 5
 
@@ -716,7 +714,7 @@ def test_download_never_reads_the_erased_slot() -> None:
 
 def test_repair_at_position_zero_delegates(gf9) -> None:
     cw = encode(gf9, (6, 1, 0))
-    got, _ = repair_at(gf9, 3, 0, erase(cw, 0), 0)
+    got, _ = repair_at(gf9, 3, 0, erase(cw, 0), 0, _plan(gf9, 3, 0))
     assert got == 6
 
 
