@@ -28,21 +28,27 @@ which the garbage collector does not walk.  B-membership is a log
 test: x != 0 lies in B exactly when log x is a multiple of
 (p^(m*t) - 1)/(q - 1).
 
-The one vector kernel, sum_powers, works on discrete logs straight from
-the tables, with no method call per element: a sum of powers of w is an
+The vector kernel sum_powers works on discrete logs straight from the
+tables, with no method call per element: a sum of powers of w is an
 XOR-reduce for p = 2 and a Zech chain on the log of the running sum for
 odd p.  It serves the two sums of a repair, the window's share and the
-Guruswami-Wootters finish, and every step of transform, the length-N
-cyclic transform sum over u of a_u w^(u j), N = p^(m*t) - 1.  That
-transform encodes a codeword and builds a plan's share.  It runs by
-mixed-radix decimation in time over the prime factors of N: a length-L
-transform with radix p', the smallest prime factor of L, splits its
-input by residue mod p', transforms the p' strided subsequences of
-length L/p', and combines them with one sum_powers call of at most p'
-terms per output.  A transform of prime length, or of a subsequence
-with no more nonzero entries than its radix, is evaluated directly, one
-sum_powers call over the nonzero entries per point.  The cost is about
-N times the sum of the prime factors of N.
+Guruswami-Wootters finish.
+
+transform is the length-N cyclic transform, sum over u of a_u w^(u j),
+N = p^(m*t) - 1.  It encodes a codeword and builds a plan's share.  It
+runs by mixed-radix decimation in time over the prime factors of N,
+taken with multiplicity, largest at the leaves, as an iterative loop
+over levels from the leaves up.  A level of radix p' holds all of its
+subproblems in one length-N list, subproblem-outer, so the p' columns
+it combines are contiguous slices.  Column 0 is gathered into an
+accumulator; for each other column one list comprehension over all N
+outputs adds the column entry times its twiddle into it, and a column
+that is all zero is skipped.  At the leaves the columns are runs of
+consecutive inputs, so the zero tail of a short message costs no pass.
+The terms are logs: for p = 2 each adds by XOR of an antilog read, for
+odd p by a Zech add through two tables, with 0 a log sentinel.  The
+cost is about N times the sum of the prime factors of N, in one pass
+per column with no kernel call per output.
 
 The other vector kernel, logs_plus, gives log(x + w^e) for a list of
 exponents e by one table read each: log(x XOR w^e) for p = 2, and for
@@ -404,28 +410,65 @@ class FieldTower:
                 acc = -1 if z < 0 else (acc + z) % mod
         return 0 if acc < 0 else antilog[acc]
 
-    def transform(self, logs: list[int], step: int = 1) -> list[int]:
-        """sum over u of a_u w^(step u j) for j < L = len(logs), L step = order - 1.
+    def transform(self, logs: list[int]) -> list[int]:
+        """sum over u < N of a_u w^(u j) for each j < N = order - 1.
 
-        logs[u] is the discrete log of a_u, or -1 where a_u = 0.
+        logs holds N entries: logs[u] is the discrete log of a_u, or -1
+        where a_u = 0.  The levels run from the leaves up, one column
+        pass per digit of each radix, largest radix at the leaves (see
+        the module docstring).
         """
         mod = self.order - 1
-        size = len(logs)
-        nonzero = [(step * u, lu) for u, lu in enumerate(logs) if lu >= 0]
-        radix = min(_prime_factors(size), default=size)
-        if radix == size or len(nonzero) <= radix:
-            return [self.sum_powers([su * j % mod + lu for su, lu in nonzero])
-                    for j in range(size)]
-        # a_(radix v + s) for s < radix, transformed with w^(step radix)
-        subs = [[self._log[v] for v in self.transform(logs[s::radix], step * radix)]
-                for s in range(radix)]
-        sub_size = size // radix
-        out = []
-        for j in range(size):
-            m = j % sub_size
-            out.append(self.sum_powers([step * s * j % mod + sub[m]
-                                        for s, sub in enumerate(subs) if sub[m] >= 0]))
-        return out
+        zero = 3 * mod   # the log of 0 inside the transform
+        antilog = self._antilog + [0] * (2 * mod)   # antilog[zero + t] = 0 for t < mod
+        if self.p == 2:
+            log, offset = self._log.copy(), 0
+            log[0] = zero
+        else:
+            # w^a + w^e = w^norm[a + plus[e + zero - a]] for a term's log e:
+            #   a, e nonzero: the index lies in (2 mod, 5 mod), zech[e - a],
+            #                 or 2 mod where w^a + w^e = 0, sent by norm to zero;
+            #   e zero:       in (5 mod, 7 mod), 0, so the sum is w^a;
+            #   a zero:       in [0, 2 mod), e - zero, so the sum is w^e;
+            #   both zero:    in [3 mod, 4 mod), and norm sends zero + zech to zero.
+            # The twiddles carry the + zero.
+            zech = [z if z >= 0 else 2 * mod for z in self._zech[:mod]]
+            plus = list(range(-zero, -mod)) + zech * 3 + [0] * (2 * mod)
+            norm = list(range(mod)) * 2 + [zero] * (3 * mod + 1)
+            offset = zero
+        radices, rest = [], mod
+        for f in reversed(_prime_factors(mod)):
+            while rest % f == 0:
+                radices.append(f)
+                rest //= f
+        # cur holds the outputs of `parts` subproblems of length `sub` as
+        # logs, subproblem-outer; at the leaves they are the inputs.  A
+        # subproblem of the level above combines those numbered
+        # sigma + parts s for s < radix, whose outputs make column s, the
+        # slice of cur of length parts sub from s parts sub.
+        cur = [lu if lu >= 0 else zero for lu in logs]
+        parts, sub = mod, 1
+        for radix in radices:
+            parts //= radix
+            length, span = parts * sub, radix * sub
+            # output sigma span + j reads column entry sigma sub + j % sub
+            at = [o + m for o in range(0, length, sub) for _ in range(radix) for m in range(sub)]
+            # column 0 has no twiddle: its pass is a gather
+            col = cur[:length]
+            acc = [antilog[col[k]] for k in at] if self.p == 2 else [col[k] for k in at]
+            for s in range(1, radix):
+                col = cur[s * length:(s + 1) * length]
+                if col.count(zero) == length:
+                    continue
+                # output j of a subproblem takes column entry times w^(parts s j)
+                tw = [parts * s * j % mod + offset for j in range(span)] * parts
+                if self.p == 2:
+                    acc = [a ^ antilog[col[k] + t] for a, k, t in zip(acc, at, tw)]
+                else:
+                    acc = [norm[a + plus[col[k] + t - a]] for a, k, t in zip(acc, at, tw)]
+            cur = [log[v] for v in acc] if self.p == 2 else acc
+            sub = span
+        return [antilog[lu] for lu in cur]
 
     def logs_plus(self, x: int, exps) -> list[int]:
         """log(x + w^e) for each exponent e in [0, order - 1); -1 where x + w^e = 0."""

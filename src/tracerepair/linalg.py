@@ -60,9 +60,9 @@ class LUFactorization:
                 mu[exps[i]] = (top - deriv - to_w[i]) % mod
                 deriv = deriv * q % mod
                 i += 1
-        s, log = ctx.transform(mu), ctx.log
+        s, log = ctx.transform(mu), ctx._log
         self._ctx = ctx
-        self._share = [log(v) if (v := s[(e - r) % mod]) else -1 for e in helpers]
+        self._share = [log[s[(e - r) % mod]] for e in helpers]   # -1 where 0
 
     def solve(self, traces) -> int:
         """The window's share of f(x0) from the helpers' traces, in helper order."""

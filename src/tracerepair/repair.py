@@ -46,16 +46,32 @@ from .rs import Codeword, position_point
 
 @dataclass(frozen=True, eq=False)
 class RepairPlan:
-    """Everything fixed once (field, k, window start r) is chosen."""
+    """Everything fixed once (field, k, window start r) is chosen.
+
+    Built from the tower, its FilteredCosets for k and r alone: k, dim,
+    the window, the helpers and the window's share are derived here, so
+    no field can disagree with the others.
+    """
 
     ctx: FieldTower
     cosets: FilteredCosets
-    k: int
+    k: int = dc_field(init=False)
     r: int
-    dim: int
-    omitted_exps: tuple[int, ...]   # window order, may wrap
-    helper_exps: tuple[int, ...]    # ascending
-    _share: object = dc_field(repr=False)   # the window's share, per helper
+    dim: int = dc_field(init=False)
+    omitted_exps: tuple[int, ...] = dc_field(init=False)   # window order, may wrap
+    helper_exps: tuple[int, ...] = dc_field(init=False)    # ascending
+    _share: object = dc_field(init=False, repr=False)   # the window's share, per helper
+
+    def __post_init__(self):
+        ctx, fc, r = self.ctx, self.cosets, self.r
+        if not isinstance(ctx, FieldTower) or not isinstance(fc, FilteredCosets):
+            raise ValueError("a plan takes a FieldTower and FilteredCosets")
+        omitted, helpers = _layout(ctx, fc, r)
+        object.__setattr__(self, "k", fc.k)
+        object.__setattr__(self, "dim", fc.dim)
+        object.__setattr__(self, "omitted_exps", omitted)
+        object.__setattr__(self, "helper_exps", helpers)
+        object.__setattr__(self, "_share", linalg.LUFactorization(ctx, fc.selected, r, helpers))
 
 
 def gw_max_k(ctx: FieldTower | CosetCollection) -> int:
@@ -84,12 +100,7 @@ def _layout(ctx: FieldTower, fc: FilteredCosets, r: int) -> tuple[tuple, tuple]:
 
 def build_plan(ctx: FieldTower, fc: FilteredCosets, r: int) -> RepairPlan:
     """Fix the omitted window and build its share of the repair."""
-    return _plan(ctx, fc, r, *_layout(ctx, fc, r))
-
-
-def _plan(ctx: FieldTower, fc: FilteredCosets, r: int, omitted, helpers) -> RepairPlan:
-    return RepairPlan(ctx, fc, fc.k, r, fc.dim, omitted, helpers,
-                      linalg.LUFactorization(ctx, fc.selected, r, helpers))
+    return RepairPlan(ctx, fc, r)
 
 
 def recover_missing_traces(plan: RepairPlan, downloaded) -> int:
@@ -101,6 +112,8 @@ def recover_missing_traces(plan: RepairPlan, downloaded) -> int:
     naming its helper.  The share is the sum over helpers e of
     s_((e - r) mod N) tau_e, the plan's one solve.
     """
+    if not isinstance(plan, RepairPlan):
+        raise ValueError(f"plan must be a RepairPlan, got {type(plan).__name__}")
     ctx = plan.ctx
     if not isinstance(downloaded, (list, tuple)) or len(downloaded) != len(plan.helper_exps):
         raise ValueError("downloaded traces must list the helpers in helper_exps order")
@@ -128,11 +141,11 @@ def combine(plan: RepairPlan, traces) -> int:
     """f(x0) from the helpers' traces, listed in plan.helper_exps order.
 
     The window's share plus the helpers' part of the finish.  Anything
-    but a list or tuple of that length, or a trace outside B, raises
-    ValueError before either sum.
+    but a plan, anything but a list or tuple of that length, or a trace
+    outside B raises ValueError before either sum.
     """
-    return plan.ctx.add(recover_missing_traces(plan, traces),
-                        gw_finish(plan.ctx, plan.helper_exps, traces))
+    share = recover_missing_traces(plan, traces)
+    return plan.ctx.add(share, gw_finish(plan.ctx, plan.helper_exps, traces))
 
 
 @dataclass(frozen=True)
@@ -162,6 +175,8 @@ def repair_pipeline(ctx: FieldTower, k: int, r: int, cw: Codeword,
         raise ValueError(f"codeword has message length {cw.k}, not {k!r}")
     if len(cw.erased) != 1:
         raise ValueError("exactly one position must be erased")
+    if not isinstance(plan, RepairPlan):
+        raise ValueError(f"plan must be a RepairPlan, got {type(plan).__name__}")
     if plan.ctx is not ctx:
         raise ValueError("plan built over a different field")
     if plan.k != k or plan.r != r or type(r) is not int:
@@ -257,4 +272,4 @@ def plan_from_dict(doc: dict) -> RepairPlan:
         # repr, unlike ==, tells 1 from True and from 1.0
         if repr(doc[key]) != repr(want):
             raise ValueError(f"plan document inconsistent at {key!r}")
-    return _plan(ctx, fc, doc["r"], omitted, helpers)
+    return RepairPlan(ctx, fc, doc["r"])

@@ -4,9 +4,11 @@ The evaluation set is all of F in a fixed order: position 0 holds the
 value at the field element 0, position j >= 1 holds the value at
 omega^(j-1).  Positions 1 .. N, N = |F| - 1, are therefore the length-N
 cyclic transform of the coefficients, f(omega^j) = sum over i of
-c_i omega^(i j), which FieldTower.transform computes in about N times
-the sum of the prime factors of N terms, against N k for evaluating
-point by point.
+c_i omega^(i j).  FieldTower.transform computes it level by level, one
+pass over all N outputs per column of each radix, about N times the
+sum of the prime factors of N terms against N k for evaluating point
+by point; at the leaves the zero tail of a short message is skipped
+whole.
 """
 
 from __future__ import annotations

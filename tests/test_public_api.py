@@ -30,3 +30,4 @@ def test_coset_records_take_only_what_they_derive_from() -> None:
 
     assert init_fields(tracerepair.CosetCollection) == ("q", "t")
     assert init_fields(tracerepair.FilteredCosets) == ("collection", "k")
+    assert init_fields(tracerepair.RepairPlan) == ("ctx", "cosets", "r")

@@ -5,6 +5,7 @@ import itertools
 import json
 import random
 import time
+from dataclasses import replace
 from functools import cache
 
 import pytest
@@ -18,7 +19,7 @@ from tracerepair.oracle import (VERIFICATION_FIELDS, conjugate_trace, rank,
                                 rank_over_base, reference_traces, trace_matrix,
                                 trace_poly, vander_blocks, verify_factorization,
                                 window_block)
-from tracerepair.repair import (bandwidth_table, build_plan, combine, gw_finish,
+from tracerepair.repair import (RepairPlan, bandwidth_table, build_plan, combine, gw_finish,
                                 gw_max_k, plan_from_dict, plan_to_dict,
                                 recover_missing_traces, repair_at,
                                 repair_pipeline)
@@ -650,6 +651,38 @@ def test_pipeline_refuses_non_int_k_r_and_position(gf9) -> None:
         with pytest.raises(ValueError, match="must be erased"):
             repair_at(gf9, 3, 0, erase(cw, 1), position, plan)
     assert repair_at(gf9, 3, 0, erase(cw, 1), 1, plan)[0] == cw.values[1]
+    # a missing plan, its document or its share is no plan
+    for not_a_plan in (None, plan_to_dict(plan), plan._share):
+        with pytest.raises(ValueError, match="plan must be a RepairPlan"):
+            repair_pipeline(gf9, 3, 0, lost, plan=not_a_plan)
+        with pytest.raises(ValueError, match="plan must be a RepairPlan"):
+            repair_at(gf9, 3, 0, lost, 0, not_a_plan)
+        with pytest.raises(ValueError, match="plan must be a RepairPlan"):
+            combine(not_a_plan, [0] * len(plan.helper_exps))
+
+
+def test_plan_derives_its_fields(gf9) -> None:
+    """A plan is (tower, cosets, r): nothing else can be set, so none can disagree."""
+    cc = enumerate_cosets(gf9.q, gf9.t)
+    plan = RepairPlan(gf9, filter_cosets(cc, 3), 0)
+    assert plan_to_dict(plan) == plan_to_dict(_plan(gf9, 3, 0))
+    assert (plan.k, plan.dim, plan.omitted_exps) == (3, 3, (0, 1, 2))
+    assert plan.helper_exps == (3, 4, 5, 6, 7)
+    rotated = plan.helper_exps[1:] + plan.helper_exps[:1]
+    for derived in ({"helper_exps": rotated}, {"omitted_exps": (5, 6, 7)}, {"dim": 2},
+                    {"k": 2}, {"_share": None}):
+        with pytest.raises(ValueError, match="init=False"):
+            replace(plan, **derived)
+    assert plan_to_dict(replace(plan, r=5)) == plan_to_dict(_plan(gf9, 3, 5))
+    assert plan_to_dict(replace(plan, cosets=filter_cosets(cc, 1))) == plan_to_dict(_plan(gf9, 1, 0))
+    with pytest.raises(TypeError):
+        RepairPlan(gf9, plan.cosets, 3, 0, 3, (0, 1, 2), plan.helper_exps, plan._share)
+    for ctx, fc in ((None, plan.cosets), (gf9, None), (gf9, cc)):
+        with pytest.raises(ValueError, match="a plan takes a FieldTower"):
+            RepairPlan(ctx, fc, 0)
+    cw = encode(gf9, (5, 2, 7))
+    for pos in range(9):
+        assert repair_at(gf9, 3, 5, erase(cw, pos), pos, replace(plan, r=5))[0] == cw.values[pos]
 
 
 def test_pipeline_refuses_plan_over_another_field(gf16_over_gf2, gf16_over_gf4,
@@ -754,13 +787,14 @@ def test_plan_document_roundtrip(gf9, monkeypatch) -> None:
     assert doc["d"] == 3
     assert doc["omitted"] == [5, 6, 7]
     assert doc["cosets"] == [[2, 6], [4]]
-    # survives JSON text round trip, deriving the window and helpers once
+    # survives JSON text round trip; the window and helpers are derived for
+    # the document check, before any share, and once more by the plan itself
     layouts = []
     layout = repair._layout
     monkeypatch.setattr(repair, "_layout", lambda *a: layouts.append(a) or layout(*a))
     back = plan_from_dict(json.loads(json.dumps(doc)))
     assert plan_to_dict(back) == doc
-    assert len(layouts) == 1
+    assert len(layouts) == 2
 
 
 def test_plan_document_tamper_detected(gf9) -> None:

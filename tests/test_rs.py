@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 from dataclasses import replace
@@ -9,8 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tracerepair import field
 from tracerepair.field import construct_field, is_prime
 from tracerepair.oracle import classical_repair
+from tracerepair.repair import gw_max_k
 from tracerepair.rs import Codeword, encode, erase, position_point
 
 
@@ -244,31 +247,99 @@ def test_transform_property(data) -> None:
     assert encode(ctx, coeffs).values == _per_point(ctx, coeffs)
 
 
-def test_encode_cost_follows_the_prime_factors() -> None:
-    """One k = 496 encode over GF(1024)/GF(32) hands sum_powers about N (3 + 11 + 31) terms.
+def test_encode_work_follows_the_prime_factors(monkeypatch) -> None:
+    """An encode over GF(1024)/GF(32) makes at most 31 + 11 + 3 column passes.
 
-    N = 1023 = 3 * 11 * 31; the per-point formula hands it N k, about 507k.
-    A message with no more nonzero coefficients than the radix 3 is
-    evaluated point by point, N k terms.  The tower is built here, so the
-    counting wrapper dies with it.
+    N = 1023 = 3 * 11 * 31, and every pass runs over all N outputs, so the
+    work is about N (3 + 11 + 31) terms, where the per-point formula takes
+    N k, about 507k at k = 496.  Column 0 of each level has no twiddle and
+    is a gather; every other column that is not all zero is one
+    zip-driven comprehension, so the test counts the zips the field module
+    makes, and sum_powers is not called at all.  The leaves have radix 31
+    and their columns are runs of 33 consecutive coefficients, so a
+    k = 496 message skips 15 of them.  A message of k <= 3 coefficients
+    fills only column 0 at the leaves and one level up, and k columns at
+    the top, whose columns are the coefficients mod 3.  The tower is built
+    here, so the patches die with it.
     """
     ctx = construct_field(2, 5, 2)
-    kernel = ctx.sum_powers
-    handed = []
+    passes = []
 
-    def counted(exps):
-        handed.append(len(exps))
-        return kernel(exps)
+    def counted(*iterables):
+        passes.append(len(iterables))
+        return zip(*iterables)
 
-    def terms(coeffs) -> int:
-        handed.clear()
-        ctx.sum_powers = counted
-        values = encode(ctx, coeffs).values
-        del ctx.sum_powers
+    def no_sum(exps):
+        raise AssertionError("the transform called sum_powers")
+
+    def twiddled_passes(coeffs) -> int:
+        passes.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(ctx, "sum_powers", no_sum)
+            patch.setattr(field, "zip", counted, raising=False)
+            values = encode(ctx, coeffs).values
         assert values == _per_point(ctx, coeffs)
-        return sum(handed)
+        return len(passes)
 
     coeffs = tuple(random.Random(3).randrange(1, 1024) for _ in range(496))
-    assert 0 < terms(coeffs) <= 1023 * (3 + 11 + 31) + 1023
+    assert twiddled_passes(coeffs) == 15 + 10 + 2
+    assert 3 + twiddled_passes(coeffs) <= 31 + 11 + 3
     for k in (1, 2, 3):
-        assert terms(coeffs[:k]) == 1023 * k
+        assert twiddled_passes(coeffs[:k]) == k - 1
+
+
+def _log_vectors(ctx, rng):
+    """All-zero, single-nonzero (first, last, random slot) and fully dense logs."""
+    mod = ctx.order - 1
+    single = []
+    for u in sorted({0, mod - 1, rng.randrange(mod)}):
+        logs = [-1] * mod
+        logs[u] = rng.randrange(mod)
+        single.append(logs)
+    return [[-1] * mod, *single, [rng.randrange(mod) for _ in range(mod)]]
+
+
+# N = 1 (GF(2)) and 2 (GF(3)); prime N = 7, 31, 127; p = 2 with m > 1: 15 = 3 5,
+# 63 = 3^2 7, 255 = 3 5 17 and 4095 = 3^2 5 7 13; odd p: 8 = 2^3, 26 = 2 13
+@pytest.mark.parametrize("p,m,t", [(2, 1, 1), (3, 1, 1), (2, 1, 3), (2, 1, 5), (2, 1, 7),
+                                   (2, 2, 2), (2, 3, 2), (2, 2, 4), (2, 4, 2),
+                                   (3, 1, 2), (3, 1, 3), (5, 1, 2)])
+def test_transform_edge_cases_match_the_per_point_formula(p, m, t) -> None:
+    ctx = construct_field(p, m, t)
+    for logs in _log_vectors(ctx, random.Random(p * 100 + m * 10 + t)):
+        coeffs = tuple(ctx.exp(lu) if lu >= 0 else 0 for lu in logs)
+        assert ctx.transform(logs) == list(_per_point(ctx, coeffs)[1:]), logs
+
+
+@pytest.mark.parametrize("p,m,t", [(2, 5, 2), (2, 6, 2)])
+def test_transform_dense_input_matches_the_per_point_formula(p, m, t) -> None:
+    ctx = construct_field(p, m, t)
+    rng = random.Random(17)
+    coeffs = tuple(rng.randrange(ctx.order) for _ in range(ctx.order - 1))
+    logs = [ctx.log(c) if c else -1 for c in coeffs]
+    assert ctx.transform(logs) == list(_per_point(ctx, coeffs)[1:])
+
+
+# SHA-256 over encode's values of one seeded message at each k in
+# (1, 2, gw_max_k // 2, gw_max_k, n), computed with the recursive transform
+# the column passes replaced; any later change to the transform must match.
+ENCODE_DIGESTS = {
+    (2, 5, 2): "e49ec018f02ec35214b6d7e27891967741c6e8dd9973adee8ebd1120aa471fc1",
+    (7, 1, 3): "21f61df07ea1c724d2ea100177d7371e45feaedf2c2e35e34b2d01f17d9c9731",
+    (3, 1, 2): "9d105c5c1bd1c37f867367387ab71e5d555862cb7b85d3721cb9daaec8f024b1",
+    (2, 3, 2): "2b6fdbe50fb0ffc43e1a0f36c42f40b7a934ff4e1b51b117d16b969b19797533",
+    (2, 2, 4): "3aceac5b6f074e9a89f41166f1341ed769394320555113957ddd552a2468a155",
+    (2, 4, 2): "3ddcb501c2308a7a46089013339b0eadb87f49bc5b4c4ef0df95532321fc2b8d",
+    (3, 1, 5): "1248378b499b59f078243dacaa4a85820d0b1cea9cb105c567c1bc1ef09c41dc",
+}
+
+
+@pytest.mark.parametrize("tower", sorted(ENCODE_DIGESTS))
+def test_encode_golden_digest(tower) -> None:
+    ctx = construct_field(*tower)
+    n, top = ctx.order, gw_max_k(ctx)
+    rng = random.Random(repr(tower))
+    digest = hashlib.sha256()
+    for k in (1, 2, top // 2, top, n):
+        digest.update(repr(encode(ctx, [rng.randrange(n) for _ in range(k)]).values).encode())
+    assert digest.hexdigest() == ENCODE_DIGESTS[tower]
