@@ -9,6 +9,7 @@ explicit --seed.  Exit codes: 0 success, 1 verification mismatch,
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import random
 import sys
@@ -197,14 +198,18 @@ def main(argv=None) -> int:
         print("error: --p, --m, --t must be given together", file=sys.stderr)
         return 2
     try:
-        if args.output:
-            try:
-                out = open(args.output, "w", newline="\n")
-            except OSError as exc:
-                raise ValueError(f"cannot write {args.output}: {exc.strerror}") from exc
-            with out:
-                return args.func(args, out)
-        return args.func(args, sys.stdout)
+        if not args.output:
+            return args.func(args, sys.stdout)
+        # the file is opened only once the command has returned, so a
+        # refused command leaves an existing file as it was
+        buf = io.StringIO()
+        code = args.func(args, buf)
+        try:
+            with open(args.output, "w", newline="\n") as out:
+                out.write(buf.getvalue())
+        except OSError as exc:
+            raise ValueError(f"cannot write {args.output}: {exc.strerror}") from exc
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -18,15 +18,17 @@ the antilog table because adding 1 changes only the lowest base-p digit;
 negation multiplies by -1 = w^((p^(m*t) - 1)/2).  The integer encoding
 is the same for every p, so results match digit-wise arithmetic exactly.
 
-The trace to B is a table over all of F, read once per call.  The
-trace is GF(p)-linear, so the table fills by linearity: from the m*t
-values Tr(p^j), each the sum of the t Frobenius conjugates of the
-basis element x^j, one digit place at a time (an XOR of the table with
-itself shifted for p = 2, the p multiples of Tr(p^j) added to it for
-odd p), about p^(m*t) adds in all.  It is an array of machine ints,
-which the garbage collector does not walk.  B-membership is a log
-test: x != 0 lies in B exactly when log x is a multiple of
-(p^(m*t) - 1)/(q - 1).
+The trace to B is a table indexed by log, Tr(w^i) at i, so a caller
+holding a log (a repair's download) reads it at once, and trace(x)
+reads it at log x.  The trace is GF(p)-linear, so the table fills by
+linearity: from the m*t values Tr(p^j), each the sum of the t
+Frobenius conjugates of the basis element x^j, one digit place at a
+time over the elements (an XOR of the table with itself shifted for
+p = 2, the p multiples of Tr(p^j) added to it for odd p), about
+p^(m*t) adds in all, and is then read out in log order.  It is an
+array of machine ints, which the garbage collector does not walk.
+B-membership is a log test: x != 0 lies in B exactly when log x is a
+multiple of (p^(m*t) - 1)/(q - 1).
 
 The vector kernel sum_powers works on discrete logs straight from the
 tables, with no method call per element: a sum of powers of w is an
@@ -40,7 +42,8 @@ runs by mixed-radix decimation in time over the prime factors of N,
 taken with multiplicity, largest at the leaves, as an iterative loop
 over levels from the leaves up.  A level of radix p' holds all of its
 subproblems in one length-N list, subproblem-outer, so the p' columns
-it combines are contiguous slices.  Column 0 is gathered into an
+it combines are contiguous slices.  Each column is laid out in output
+order by repeating slices of it, a copy in C.  Column 0 becomes the
 accumulator; for each other column one list comprehension over all N
 outputs adds the column entry times its twiddle into it, and a column
 that is all zero is skipped.  At the leaves the columns are runs of
@@ -48,7 +51,14 @@ consecutive inputs, so the zero tail of a short message costs no pass.
 The terms are logs: for p = 2 each adds by XOR of an antilog read, for
 odd p by a Zech add through two tables, with 0 a log sentinel.  The
 cost is about N times the sum of the prime factors of N, in one pass
-per column with no kernel call per output.
+per column with no kernel call per output.  What depends on the tower
+alone, the schedule, is built on the first call and kept: the factors
+of N, the sentinel's tables, and each level's twiddles, whose entries
+point into one sequence of N ints.  A level whose twiddles would hold
+more than 4 N entries, a radix above about 2 sqrt(N) at the leaves,
+makes each column's in its pass instead.  Later calls only run
+passes.  The schedule is all tuples: no call can change it, and the
+garbage collector does not walk a tuple of ints.
 
 The other vector kernel, logs_plus, gives log(x + w^e) for a list of
 exponents e by one table read each: log(x XOR w^e) for p = 2, and for
@@ -95,6 +105,35 @@ def _prime_factors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
+
+
+def _tiled(col: list, radix: int, sub: int) -> list:
+    """A column in output order: each run of sub entries, radix times over.
+
+    Output sigma radix sub + j of a level reads column entry
+    sigma sub + j % sub.  Each run is one slice repeated, so the copy
+    runs in C.
+    """
+    out = []
+    for o in range(0, len(col), sub):
+        out += col[o:o + sub] * radix
+    return out
+
+
+def _twiddles(values: tuple, parts: int, s: int, span: int) -> tuple:
+    """Column s's twiddle logs at a level: w^(parts s j) for output j < span."""
+    mod = len(values)
+    return tuple([values[parts * s * j % mod] for j in range(span)])
+
+
+def _xor_pass(acc, column, twiddles, antilog):
+    """One twiddled column pass for p = 2: acc[o] XOR w^(column[o] + twiddles[o])."""
+    return [a ^ antilog[c + t] for a, c, t in zip(acc, column, twiddles)]
+
+
+def _zech_pass(acc, column, twiddles, plus, norm):
+    """One twiddled column pass for odd p, on logs: a Zech add through two tables."""
+    return [norm[a + plus[c + t - a]] for a, c, t in zip(acc, column, twiddles)]
 
 
 def is_prime(n: int) -> bool:
@@ -278,6 +317,7 @@ class FieldTower:
         self.modulus = _find_irreducible(p, degree)
 
         self._build_tables()
+        self._schedule = None   # the transform's, built on its first call
         self.bits_per_symbol = (self.q - 1).bit_length()
 
     # -- construction ------------------------------------------------
@@ -336,9 +376,10 @@ class FieldTower:
             else:
                 mults = [self.mul(c, b) for c in range(p)]
                 table = [self.add(v, m) for m in mults for v in table]
-        # an array holds no int object per entry, so the garbage collector
-        # has nothing in it to walk
-        self._trace = array("l", table)
+        # indexed by log: _trace_by_log[i] = Tr(w^i), so a caller holding a
+        # log reads the trace at once; an array holds no int object per
+        # entry, so the garbage collector has nothing in it to walk
+        self._trace_by_log = array("l", [table[x] for x in antilog])
 
     # -- arithmetic --------------------------------------------------
 
@@ -415,15 +456,54 @@ class FieldTower:
 
         logs holds N entries: logs[u] is the discrete log of a_u, or -1
         where a_u = 0.  The levels run from the leaves up, one column
-        pass per digit of each radix, largest radix at the leaves (see
-        the module docstring).
+        pass per digit of each radix, largest radix at the leaves, on
+        the tower's schedule (see the module docstring).
+        """
+        zero, antilog, log, plus, norm, values, levels = self._schedule or self._build_schedule()
+        # cur holds the outputs of `parts` subproblems of length `sub` as
+        # logs, subproblem-outer; at the leaves they are the inputs.  A
+        # subproblem of the level above combines those numbered
+        # sigma + parts s for s < radix, whose outputs make column s, the
+        # slice of cur of length parts sub from s parts sub.
+        cur = [lu if lu >= 0 else zero for lu in logs]
+        for radix, parts, sub, twiddles in levels:
+            length = parts * sub
+            # column 0 has no twiddle: its pass is the gather
+            column = _tiled(cur[:length], radix, sub)
+            acc = [antilog[c] for c in column] if self.p == 2 else column
+            for s in range(1, radix):
+                col = cur[s * length:(s + 1) * length]
+                if col.count(zero) == length:
+                    continue
+                tw = twiddles[s - 1] if twiddles else _twiddles(values, parts, s, radix * sub)
+                if self.p == 2:
+                    acc = _xor_pass(acc, _tiled(col, radix, sub), tw * parts, antilog)
+                else:
+                    acc = _zech_pass(acc, _tiled(col, radix, sub), tw * parts, plus, norm)
+            cur = [log[v] for v in acc] if self.p == 2 else acc
+        return [antilog[lu] for lu in cur]
+
+    def _build_schedule(self) -> tuple:
+        """What transform reads besides its input; built on its first call.
+
+        The sentinel log of 0, the tables its terms add through, the N
+        twiddle values, and per level from the leaves up (radix, parts,
+        sub, twiddles), twiddles holding one tuple of span = radix sub
+        logs per column s >= 1, or None where each pass makes its own:
+        output j of a subproblem takes its column entry times
+        w^(parts s j).  They point into the one tuple of values, so they
+        cost a pointer per entry.  Every part is a tuple, so no call can
+        change it, and the garbage collector stops tracking a tuple of
+        ints, so a large tower's schedule adds nothing to a collection.
         """
         mod = self.order - 1
-        zero = 3 * mod   # the log of 0 inside the transform
-        antilog = self._antilog + [0] * (2 * mod)   # antilog[zero + t] = 0 for t < mod
+        # the log of 0 inside the transform, past every log and log sum
+        zero = 2 * mod if self.p == 2 else 3 * mod
+        antilog = tuple(self._antilog) + (0,) * (zero - mod)   # antilog[zero + t] = 0, t < mod
+        # 0, 1, ..., mod - 1 as the log table's own ints, so no new int object
+        exps = tuple([self._log[x] for x in self._antilog[:mod]])
         if self.p == 2:
-            log, offset = self._log.copy(), 0
-            log[0] = zero
+            log, plus, norm, values = (zero, *self._log[1:]), None, None, exps
         else:
             # w^a + w^e = w^norm[a + plus[e + zero - a]] for a term's log e:
             #   a, e nonzero: the index lies in (2 mod, 5 mod), zech[e - a],
@@ -432,43 +512,23 @@ class FieldTower:
             #   a zero:       in [0, 2 mod), e - zero, so the sum is w^e;
             #   both zero:    in [3 mod, 4 mod), and norm sends zero + zech to zero.
             # The twiddles carry the + zero.
-            zech = [z if z >= 0 else 2 * mod for z in self._zech[:mod]]
-            plus = list(range(-zero, -mod)) + zech * 3 + [0] * (2 * mod)
-            norm = list(range(mod)) * 2 + [zero] * (3 * mod + 1)
-            offset = zero
-        radices, rest = [], mod
+            zech = tuple([z if z >= 0 else 2 * mod for z in self._zech[:mod]])
+            plus = tuple(range(-zero, -mod)) + zech * 3 + (0,) * (2 * mod)
+            norm = exps * 2 + (zero,) * (3 * mod + 1)
+            log, values = None, tuple(range(zero, zero + mod))
+        levels, parts, sub = [], mod, 1
         for f in reversed(_prime_factors(mod)):
-            while rest % f == 0:
-                radices.append(f)
-                rest //= f
-        # cur holds the outputs of `parts` subproblems of length `sub` as
-        # logs, subproblem-outer; at the leaves they are the inputs.  A
-        # subproblem of the level above combines those numbered
-        # sigma + parts s for s < radix, whose outputs make column s, the
-        # slice of cur of length parts sub from s parts sub.
-        cur = [lu if lu >= 0 else zero for lu in logs]
-        parts, sub = mod, 1
-        for radix in radices:
-            parts //= radix
-            length, span = parts * sub, radix * sub
-            # output sigma span + j reads column entry sigma sub + j % sub
-            at = [o + m for o in range(0, length, sub) for _ in range(radix) for m in range(sub)]
-            # column 0 has no twiddle: its pass is a gather
-            col = cur[:length]
-            acc = [antilog[col[k]] for k in at] if self.p == 2 else [col[k] for k in at]
-            for s in range(1, radix):
-                col = cur[s * length:(s + 1) * length]
-                if col.count(zero) == length:
-                    continue
-                # output j of a subproblem takes column entry times w^(parts s j)
-                tw = [parts * s * j % mod + offset for j in range(span)] * parts
-                if self.p == 2:
-                    acc = [a ^ antilog[col[k] + t] for a, k, t in zip(acc, at, tw)]
-                else:
-                    acc = [norm[a + plus[col[k] + t - a]] for a, k, t in zip(acc, at, tw)]
-            cur = [log[v] for v in acc] if self.p == 2 else acc
-            sub = span
-        return [antilog[lu] for lu in cur]
+            while parts % f == 0:
+                parts //= f
+                span = f * sub
+                # a radix above about 2 sqrt(N) at the leaves would keep
+                # about radix^2 entries; its passes make their own
+                twiddles = (tuple(_twiddles(values, parts, s, span) for s in range(1, f))
+                            if (f - 1) * span <= 4 * mod else None)
+                levels.append((f, parts, sub, twiddles))
+                sub = span
+        self._schedule = (zero, antilog, log, plus, norm, values, tuple(levels))
+        return self._schedule
 
     def logs_plus(self, x: int, exps) -> list[int]:
         """log(x + w^e) for each exponent e in [0, order - 1); -1 where x + w^e = 0."""
@@ -505,7 +565,7 @@ class FieldTower:
 
     def trace(self, x: int) -> int:
         """Trace from F down to B, read from the table built at construction."""
-        return self._trace[self._element(x)]
+        return 0 if self._element(x) == 0 else self._trace_by_log[self._log[x]]
 
     def in_base_field(self, x: int) -> bool:
         return self._element(x) == 0 or self._log[x] % self._base_step == 0

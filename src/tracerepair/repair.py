@@ -21,16 +21,18 @@ The window's traces are linear in the helpers' traces, and so is
 their part of the finish.  So the plan holds that part as one
 coefficient per helper, s_((e - r) mod N), N = n - 1, built in closed
 form (linalg), and a repair takes it as one sum over the helpers:
-recover_missing_traces refuses a download outside B, which no helper
-sends, and returns the sum of s_((e - r) mod N) tau_e; gw_finish
-returns minus the sum of omega^e tau_e over the same helpers, and
-combine adds the two.  With d = 0 the window is empty and
-its share is 0.
+recover_missing_traces returns the sum of s_((e - r) mod N) tau_e;
+gw_finish returns minus the sum of omega^e tau_e over the same helpers,
+and a repair adds the two.  With d = 0 the window is empty and its
+share is 0.  combine, which takes traces from a caller, first refuses
+any outside B, which no helper sends; the pipeline's own download is
+read from the trace table, whose entries all lie in B, so it goes to
+the two sums unchecked.
 
 Every per-helper step of a repair is a table read, with no field method
 call per helper.  The download reads helper e's value v at the slot of
-x0 + omega^e and ships the trace table's entry at v / omega^e, whose
-log is log v - e; the B test is a log test and both sums run on logs.
+x0 + omega^e and ships the trace of v / omega^e, the trace table's
+entry at log v - e, which is indexed by log; both sums run on logs.
 """
 
 from __future__ import annotations
@@ -103,25 +105,25 @@ def build_plan(ctx: FieldTower, fc: FilteredCosets, r: int) -> RepairPlan:
     return RepairPlan(ctx, fc, r)
 
 
+def _check_shape(plan: RepairPlan, traces) -> None:
+    """Refuse anything but a plan, and anything but one trace per helper in a list or tuple."""
+    if not isinstance(plan, RepairPlan):
+        raise ValueError(f"plan must be a RepairPlan, got {type(plan).__name__}")
+    if not isinstance(traces, (list, tuple)) or len(traces) != len(plan.helper_exps):
+        raise ValueError("downloaded traces must list the helpers in helper_exps order")
+
+
 def recover_missing_traces(plan: RepairPlan, downloaded) -> int:
     """The window's share of f(x0) from the helpers' traces.
 
-    downloaded lists the traces in plan.helper_exps order.  Anything but
-    a list or tuple of the right length raises ValueError, as does a
-    trace outside B, which no helper sends, or no field element at all,
-    naming its helper.  The share is the sum over helpers e of
+    downloaded lists the traces in plan.helper_exps order, each in B.
+    Anything but a plan, or anything but a list or tuple of the right
+    length, raises ValueError.  The entries are not read here: combine
+    refuses those a caller got wrong, and the pipeline's are trace
+    table entries.  The share is the sum over helpers e of
     s_((e - r) mod N) tau_e, the plan's one solve.
     """
-    if not isinstance(plan, RepairPlan):
-        raise ValueError(f"plan must be a RepairPlan, got {type(plan).__name__}")
-    ctx = plan.ctx
-    if not isinstance(downloaded, (list, tuple)) or len(downloaded) != len(plan.helper_exps):
-        raise ValueError("downloaded traces must list the helpers in helper_exps order")
-    order, log, step = ctx.order, ctx._log, ctx._base_step
-    for e, v in zip(plan.helper_exps, downloaded):
-        # ctx.in_base_field's log test, inline: no method call per helper
-        if not (type(v) is int and 0 <= v < order and (v == 0 or log[v] % step == 0)):
-            raise ValueError(f"trace from helper w^{e} is not in the base field")
+    _check_shape(plan, downloaded)
     return plan._share.solve(downloaded)
 
 
@@ -142,10 +144,18 @@ def combine(plan: RepairPlan, traces) -> int:
 
     The window's share plus the helpers' part of the finish.  Anything
     but a plan, anything but a list or tuple of that length, or a trace
-    outside B raises ValueError before either sum.
+    outside B, or no field element at all, raises ValueError before
+    either sum, naming the helper that sent it.
     """
+    _check_shape(plan, traces)
+    ctx = plan.ctx
+    order, log, step = ctx.order, ctx._log, ctx._base_step
+    for e, v in zip(plan.helper_exps, traces):
+        # ctx.in_base_field's log test, inline: no method call per helper
+        if not (type(v) is int and 0 <= v < order and (v == 0 or log[v] % step == 0)):
+            raise ValueError(f"trace from helper w^{e} is not in the base field")
     share = recover_missing_traces(plan, traces)
-    return plan.ctx.add(share, gw_finish(plan.ctx, plan.helper_exps, traces))
+    return ctx.add(share, gw_finish(ctx, plan.helper_exps, traces))
 
 
 @dataclass(frozen=True)
@@ -162,9 +172,9 @@ def repair_pipeline(ctx: FieldTower, k: int, r: int, cw: Codeword,
     With x0 the erased point, the helper at exponent e is read in place
     at x0 + omega^e and ships tau_e = trace(f(x0 + omega^e) / omega^e),
     by table reads only: the slot from the field's logs_plus, then
-    tau_e = trace table[antilog[log v - e]] for the value v there, 0 for
-    v = 0.  combine takes the window's share from the helpers' traces
-    and adds the finish, so it returns f(x0) = -sum over e of
+    tau_e = Tr(omega^(log v - e)) from the trace table, which is indexed
+    by log, for the value v there, 0 for v = 0.  The window's share of
+    the helpers' traces plus the finish is f(x0) = -sum over e of
     omega^e * tau_e.
     Returns the recovered value and the download accounting.  plan is
     build_plan's for (k, r); the caller builds it once for every erasure.
@@ -184,16 +194,18 @@ def repair_pipeline(ctx: FieldTower, k: int, r: int, cw: Codeword,
 
     (position,) = cw.erased
     helpers = plan.helper_exps
-    values, log, antilog, trace = cw.values, ctx._log, ctx._antilog, ctx._trace
-    mod = ctx.order - 1
+    values, log, trace = cw.values, ctx._log, ctx._trace_by_log
     # Helper e sits at slot log(x0 + w^e) + 1, or at slot 0 where that
     # point is 0 (logs_plus gives -1 there).  x0 + w^e != x0, and cw has
     # exactly one erasure, at x0, so no read below touches an erased slot.
+    # log v - e lies in (-N, N), and a negative index wraps mod N.
     slots = ctx.logs_plus(position_point(ctx, position), helpers)
-    downloaded = [trace[antilog[log[v] - e + mod]] if (v := values[ls + 1]) else 0
+    downloaded = [trace[log[v] - e] if (v := values[ls + 1]) else 0
                   for e, ls in zip(helpers, slots)]
+    # combine without its B test: every trace table entry lies in B
+    value = ctx.add(recover_missing_traces(plan, downloaded), gw_finish(ctx, helpers, downloaded))
     nsym = len(helpers)
-    return combine(plan, downloaded), BandwidthReport(nsym, nsym, nsym * ctx.bits_per_symbol)
+    return value, BandwidthReport(nsym, nsym, nsym * ctx.bits_per_symbol)
 
 
 def repair_at(ctx: FieldTower, k: int, r: int, cw: Codeword, position: int,

@@ -72,7 +72,8 @@ def encode(ctx: FieldTower, coeffs) -> Codeword:
     cyclic = list(coeffs[:mod]) + [0] * (mod - k)
     if k > mod:
         cyclic[0] = ctx.add(coeffs[0], coeffs[mod])
-    values = ctx.transform([ctx.log(c) if c else -1 for c in cyclic])
+    log = ctx._log
+    values = ctx.transform([log[c] if c else -1 for c in cyclic])
     return Codeword(ctx, k, (coeffs[0], *values), frozenset())
 
 

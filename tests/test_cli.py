@@ -170,6 +170,31 @@ def test_output_path_that_cannot_be_opened(tmp_path, capsys) -> None:
         assert "Traceback" not in err
 
 
+def test_refused_command_leaves_the_output_file_alone(tmp_path, capsys) -> None:
+    """The file is written only once the command returns, exit 0 or 1."""
+    path = tmp_path / "out.txt"
+    path.write_bytes(b"earlier\nbytes\n")
+    for argv in (("dim", "--p", "3", "--m", "1", "--t", "2", "--k", "99"),
+                 ("plan", "--p", "3", "--m", "1", "--t", "2", "--k", "3", "--r", "8"),
+                 ("cosets", "--p", "4", "--m", "1", "--t", "2")):
+        code, out, err = run(capsys, "--output", str(path), *argv)
+        assert code == 2 and out == "" and err.startswith("error: "), argv
+        assert path.read_bytes() == b"earlier\nbytes\n", argv
+
+
+def test_verify_mismatch_report_is_written(tmp_path, capsys, monkeypatch) -> None:
+    """Exit 1 still writes the report, byte for byte what stdout would show."""
+    monkeypatch.setattr(cli, "brute_repair_check", lambda *args, **kwargs: False)
+    argv = ("verify", "--p", "3", "--m", "1", "--t", "2")
+    code, shown, _ = run(capsys, *argv)
+    assert code == 1 and shown.endswith("verification FAILED\n")
+    path = tmp_path / "report.txt"
+    path.write_bytes(b"stale")
+    code, out, _ = run(capsys, "--output", str(path), *argv)
+    assert code == 1 and out == ""
+    assert path.read_bytes() == shown.encode()
+
+
 def test_verify_single_field(capsys) -> None:
     code, out, _ = run(capsys, "verify", "--p", "3", "--m", "1", "--t", "2")
     assert code == 0

@@ -20,10 +20,14 @@ from tracerepair.rs import Codeword, encode
 @pytest.mark.parametrize("tower", VERIFICATION_FIELDS + ((7, 1, 3), (3, 1, 5),
                                                        (2, 2, 4), (2, 5, 2)))
 def test_trace_table_and_base_test_match_the_conjugates(tower) -> None:
-    """The field's trace table and log test for B, element by element, against x^q."""
+    """The field's trace table, indexed by log, and its log test for B, against x^q."""
     ctx = construct_field(*tower)
+    table = ctx._trace_by_log
+    assert len(table) == ctx.order - 1
+    for i, tr in enumerate(table):
+        assert tr == conjugate_trace(ctx, ctx.exp(i)) and ctx.in_base_field(tr)
     for x in range(ctx.order):
-        assert ctx._trace[x] == ctx.trace(x) == conjugate_trace(ctx, x)
+        assert ctx.trace(x) == conjugate_trace(ctx, x)
         assert ctx.in_base_field(x) == (ctx.pow(x, ctx.q) == x)
 
 

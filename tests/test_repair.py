@@ -516,6 +516,42 @@ def test_combine_gives_back_the_stored_symbol(tower, data) -> None:
     assert combine(plan, traces) == cw.values[position]
 
 
+@pytest.mark.parametrize("tower", [(3, 1, 2), (2, 2, 2), (2, 3, 2), (3, 1, 3), (7, 1, 3)])
+def test_pipeline_is_combine_on_its_download(tower, monkeypatch) -> None:
+    """The pipeline's download is the true helper traces, and its value is combine's.
+
+    The download, read by log from the trace table, is caught where it
+    enters recover_missing_traces and checked against the conjugate
+    traces at seeded positions and window starts.
+    """
+    ctx = construct_field(*tower)
+    n = ctx.order
+    rng = random.Random(repr(tower))
+    seen = []
+
+    def recover(plan, downloaded):
+        seen.append(list(downloaded))
+        return recover_missing_traces(plan, downloaded)
+
+    monkeypatch.setattr(repair, "recover_missing_traces", recover)
+    for _ in range(4):
+        k = rng.randrange(1, gw_max_k(ctx) + 1)
+        plan = _plan(ctx, k, rng.randrange(n - 1))
+        cw = encode(ctx, [rng.randrange(n) for _ in range(k)])
+        for position in rng.sample(range(n), 4):
+            seen.clear()
+            got, _ = repair_at(ctx, k, plan.r, erase(cw, position), position, plan)
+            (downloaded,) = seen
+            x0 = position_point(ctx, position)
+            want = []
+            for e in plan.helper_exps:
+                x = ctx.add(x0, ctx.exp(e))
+                value = cw.values[ctx.log(x) + 1 if x else 0]
+                want.append(conjugate_trace(ctx, ctx.mul(value, ctx.inv(ctx.exp(e)))))
+            assert downloaded == want
+            assert got == combine(plan, downloaded) == cw.values[position]
+
+
 # -- finishing ------------------------------------------------------
 
 def test_gw_finish_exhaustive_small_k(gf9) -> None:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import hashlib
 import itertools
 import random
@@ -11,9 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tracerepair import field
+from tracerepair.cosets import enumerate_cosets, filter_cosets
 from tracerepair.field import construct_field, is_prime
 from tracerepair.oracle import classical_repair
-from tracerepair.repair import gw_max_k
+from tracerepair.repair import build_plan, gw_max_k, plan_to_dict, repair_at
 from tracerepair.rs import Codeword, encode, erase, position_point
 
 
@@ -253,9 +255,9 @@ def test_encode_work_follows_the_prime_factors(monkeypatch) -> None:
     N = 1023 = 3 * 11 * 31, and every pass runs over all N outputs, so the
     work is about N (3 + 11 + 31) terms, where the per-point formula takes
     N k, about 507k at k = 496.  Column 0 of each level has no twiddle and
-    is a gather; every other column that is not all zero is one
-    zip-driven comprehension, so the test counts the zips the field module
-    makes, and sum_powers is not called at all.  The leaves have radix 31
+    is a gather; every other column that is not all zero is one twiddled
+    pass, a call of the field module's pass function, which the test
+    counts, and sum_powers is not called at all.  The leaves have radix 31
     and their columns are runs of 33 consecutive coefficients, so a
     k = 496 message skips 15 of them.  A message of k <= 3 coefficients
     fills only column 0 at the leaves and one level up, and k columns at
@@ -265,9 +267,11 @@ def test_encode_work_follows_the_prime_factors(monkeypatch) -> None:
     ctx = construct_field(2, 5, 2)
     passes = []
 
-    def counted(*iterables):
-        passes.append(len(iterables))
-        return zip(*iterables)
+    def counted(real):
+        def twiddled_pass(*args):
+            passes.append(real.__name__)
+            return real(*args)
+        return twiddled_pass
 
     def no_sum(exps):
         raise AssertionError("the transform called sum_powers")
@@ -276,7 +280,8 @@ def test_encode_work_follows_the_prime_factors(monkeypatch) -> None:
         passes.clear()
         with monkeypatch.context() as patch:
             patch.setattr(ctx, "sum_powers", no_sum)
-            patch.setattr(field, "zip", counted, raising=False)
+            for name in ("_xor_pass", "_zech_pass"):
+                patch.setattr(field, name, counted(getattr(field, name)))
             values = encode(ctx, coeffs).values
         assert values == _per_point(ctx, coeffs)
         return len(passes)
@@ -334,12 +339,82 @@ ENCODE_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("tower", sorted(ENCODE_DIGESTS))
-def test_encode_golden_digest(tower) -> None:
-    ctx = construct_field(*tower)
+def _encode_digest(ctx, tower) -> str:
     n, top = ctx.order, gw_max_k(ctx)
     rng = random.Random(repr(tower))
     digest = hashlib.sha256()
     for k in (1, 2, top // 2, top, n):
         digest.update(repr(encode(ctx, [rng.randrange(n) for _ in range(k)]).values).encode())
-    assert digest.hexdigest() == ENCODE_DIGESTS[tower]
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("tower", sorted(ENCODE_DIGESTS))
+def test_encode_golden_digest(tower) -> None:
+    assert _encode_digest(construct_field(*tower), tower) == ENCODE_DIGESTS[tower]
+
+
+def _plan(ctx, r=0):
+    return build_plan(ctx, filter_cosets(enumerate_cosets(ctx.q, ctx.t), gw_max_k(ctx) // 2), r)
+
+
+# p = 2 and odd p; every level of both keeps its twiddle lists
+@pytest.mark.parametrize("tower", [(2, 5, 2), (7, 1, 3)])
+def test_transform_schedule_is_built_once(tower, monkeypatch) -> None:
+    """After the first transform nothing of the schedule is built again.
+
+    Factoring N, building the schedule or a twiddle list raises once the
+    first plan is built, and a later encode and plan still give the
+    golden digest and the same plan, share included.
+    """
+    ctx = construct_field(*tower)
+    first = _plan(ctx)
+
+    def boom(*args):
+        raise AssertionError("the schedule was built again")
+
+    for owner, name in ((field, "_prime_factors"), (field, "_twiddles"),
+                        (field.FieldTower, "_build_schedule")):
+        monkeypatch.setattr(owner, name, boom)
+    assert _encode_digest(ctx, tower) == ENCODE_DIGESTS[tower]
+    again = _plan(ctx)
+    assert plan_to_dict(again) == plan_to_dict(first)
+    assert again._share._share == first._share._share
+    cw = encode(ctx, range(1, gw_max_k(ctx) // 2 + 1))
+    assert repair_at(ctx, again.k, 0, erase(cw, 5), 5, again)[0] == cw.values[5]
+
+
+# p = 2 with the leaves' twiddles kept; N = 31 and 26 = 2 13, whose
+# leaves (radix above 2 sqrt(N)) make their twiddles in each pass
+@pytest.mark.parametrize("tower", [(2, 3, 2), (2, 1, 5), (3, 1, 3), (7, 1, 3)])
+def test_transform_calls_leave_the_schedule_unchanged(tower) -> None:
+    """Encodes, plans and transforms of every density, interleaved on one tower.
+
+    Each result equals the per-point formula, or for a plan a plan built
+    on a fresh tower, and the schedule after them equals a copy taken
+    after the first call.
+    """
+    ctx = construct_field(*tower)
+    mod, n = ctx.order - 1, ctx.order
+    rng = random.Random(repr(tower))
+    fresh = construct_field(*tower)
+
+    def check_encode():
+        coeffs = tuple(rng.randrange(n) for _ in range(rng.randrange(1, n + 1)))
+        assert encode(ctx, coeffs).values == _per_point(ctx, coeffs)
+
+    def check_plan():
+        r = rng.randrange(mod)
+        assert _plan(ctx, r)._share._share == _plan(fresh, r)._share._share
+
+    def check_transform(logs):
+        coeffs = tuple(ctx.exp(lu) if lu >= 0 else 0 for lu in logs)
+        assert ctx.transform(logs) == list(_per_point(ctx, coeffs)[1:])
+
+    check_encode()
+    snapshot = copy.deepcopy(ctx._schedule)
+    for logs in _log_vectors(ctx, rng):
+        check_plan()
+        check_encode()
+        check_transform(logs)
+    check_plan()
+    assert ctx._schedule == snapshot
