@@ -18,23 +18,28 @@ the antilog table because adding 1 changes only the lowest base-p digit;
 negation multiplies by -1 = w^((p^(m*t) - 1)/2).  The integer encoding
 is the same for every p, so results match digit-wise arithmetic exactly.
 
-The trace to B is a table indexed by log, Tr(w^i) at i, so a caller
-holding a log (a repair's download) reads it at once, and trace(x)
-reads it at log x.  The trace is GF(p)-linear, so the table fills by
-linearity: from the m*t values Tr(p^j), each the sum of the t
-Frobenius conjugates of the basis element x^j, one digit place at a
-time over the elements (an XOR of the table with itself shifted for
-p = 2, the p multiples of Tr(p^j) added to it for odd p), about
-p^(m*t) adds in all, and is then read out in log order.  It is an
-array of machine ints, which the garbage collector does not walk.
-B-membership is a log test: x != 0 lies in B exactly when log x is a
-multiple of (p^(m*t) - 1)/(q - 1).
+The trace to B is a table of logs indexed by log, log Tr(w^i) at i and
+the sentinel 2 N (N = p^(m*t) - 1) where the trace is 0, so a repair's
+download goes from a log to a log in one read, and trace(x) reads it
+at log x.  The trace is GF(p)-linear, so it fills by linearity: from
+the m*t values Tr(p^j), each the sum of the t Frobenius conjugates of
+the basis element x^j, one digit place at a time over the elements (an
+XOR of the table with itself shifted for p = 2, the p multiples of
+Tr(p^j) added to it for odd p), about p^(m*t) adds in all, and its logs
+are then read out in log order.  B-membership is a log test: x != 0
+lies in B exactly when log x is a multiple of N/(q - 1).
 
-The vector kernel sum_powers works on discrete logs straight from the
-tables, with no method call per element: a sum of powers of w is an
-XOR-reduce for p = 2 and a Zech chain on the log of the running sum for
-odd p.  It serves the two sums of a repair, the window's share and the
-Guruswami-Wootters finish.
+The vector kernels work on discrete logs straight from the tables, with
+no method call per element.  sum_powers sums powers of w: an XOR-reduce
+for p = 2, a Zech chain on the log of the running sum for odd p.
+sum_products, a repair's two sums, sums w^x w^y over pairs of logs, 2 N
+standing for 0: for p = 2 an XOR-reduce of the transform's antilog, 0
+from 2 N to 4 N, at x + y, with no test per pair; for odd p sum_powers
+over the x + y below 2 N.  logs_plus gives log(x + w^e) for a list of
+exponents e by one table read each: log(x XOR w^e) for p = 2, and for
+odd p the Zech read log x + zech(e - log x).  It places a repair's
+helpers for odd p, the points x0 + w^e, and with x = -1 gives a plan's
+log(w^i - 1).
 
 transform is the length-N cyclic transform, sum over u of a_u w^(u j),
 N = p^(m*t) - 1.  It encodes a codeword and builds a plan's share.  It
@@ -60,12 +65,6 @@ makes each column's in its pass instead.  Later calls only run
 passes.  The schedule is all tuples: no call can change it, and the
 garbage collector does not walk a tuple of ints.
 
-The other vector kernel, logs_plus, gives log(x + w^e) for a list of
-exponents e by one table read each: log(x XOR w^e) for p = 2, and for
-odd p the Zech read log x + zech(e - log x).  It places a repair's
-helpers, the points x0 + w^e, and with x = -1 gives a plan's
-log(w^i - 1).
-
 Construction is deterministic: the modulus is the monic irreducible
 polynomial of degree m*t with the smallest integer encoding, found by
 trial division (carry-less on bit masks for p = 2), and the primitive
@@ -84,7 +83,6 @@ antilog tables.
 
 from __future__ import annotations
 
-from array import array
 from functools import reduce
 from operator import xor
 
@@ -376,10 +374,9 @@ class FieldTower:
             else:
                 mults = [self.mul(c, b) for c in range(p)]
                 table = [self.add(v, m) for m in mults for v in table]
-        # indexed by log: _trace_by_log[i] = Tr(w^i), so a caller holding a
-        # log reads the trace at once; an array holds no int object per
-        # entry, so the garbage collector has nothing in it to walk
-        self._trace_by_log = array("l", [table[x] for x in antilog])
+        # _trace_log[i] = log Tr(w^i), the log table's int, or one shared 2 N for 0
+        zero = 2 * group
+        self._trace_log = tuple([log[v] if (v := table[x]) else zero for x in antilog])
 
     # -- arithmetic --------------------------------------------------
 
@@ -451,6 +448,14 @@ class FieldTower:
                 acc = -1 if z < 0 else (acc + z) % mod
         return 0 if acc < 0 else antilog[acc]
 
+    def sum_products(self, xs, ys) -> int:
+        """Sum of w^x w^y over pairs of logs, each below order - 1 or 2 (order - 1) for 0."""
+        if self.p == 2:
+            antilog = (self._schedule or self._build_schedule())[1]
+            return reduce(xor, [antilog[x + y] for x, y in zip(xs, ys)], 0)
+        zero = 2 * (self.order - 1)
+        return self.sum_powers([s for x, y in zip(xs, ys) if (s := x + y) < zero])
+
     def transform(self, logs: list[int]) -> list[int]:
         """sum over u < N of a_u w^(u j) for each j < N = order - 1.
 
@@ -499,7 +504,7 @@ class FieldTower:
         mod = self.order - 1
         # the log of 0 inside the transform, past every log and log sum
         zero = 2 * mod if self.p == 2 else 3 * mod
-        antilog = tuple(self._antilog) + (0,) * (zero - mod)   # antilog[zero + t] = 0, t < mod
+        antilog = tuple(self._antilog) + (0,) * (2 * mod + 1)   # 0 from 2 mod to 4 mod
         # 0, 1, ..., mod - 1 as the log table's own ints, so no new int object
         exps = tuple([self._log[x] for x in self._antilog[:mod]])
         if self.p == 2:
@@ -565,7 +570,8 @@ class FieldTower:
 
     def trace(self, x: int) -> int:
         """Trace from F down to B, read from the table built at construction."""
-        return 0 if self._element(x) == 0 else self._trace_by_log[self._log[x]]
+        lt = self._trace_log[self._log[x]] if self._element(x) else -1
+        return self._antilog[lt] if 0 <= lt < self.order - 1 else 0
 
     def in_base_field(self, x: int) -> bool:
         return self._element(x) == 0 or self._log[x] % self._base_step == 0

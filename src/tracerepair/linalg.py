@@ -6,7 +6,7 @@ one sum over the helpers with coefficients fixed by the plan.
 build_plan builds them here, in closed form and in discrete logs, from
 the cosets and helpers it derives from the tower, k and r alone, and
 recover_missing_traces applies them once per repair through the
-field's sum_powers kernel.  The scalar elimination that checks them
+field's sum_products kernel.  The scalar elimination that checks them
 lives in the oracle, which shares no kernel with the repair path.
 """
 
@@ -33,7 +33,8 @@ class LUFactorization:
     b + L[a - b].  P has coefficients in B, so P'(w^(a q)) = P'(w^a)^q,
     and only the c coset leaders need that sum: c d integer adds.  Then
     s is one length-N transform of the mu, read at (e - r) mod N per
-    helper e.  w is no node: the filter always drops the coset of 1.
+    helper e, as a log, 2 N where it is 0.  w is no node: the filter
+    always drops the coset of 1.
 
     The class keeps the name of the LU factorization it replaced,
     because the benchmark's layer names refer to it: linalg.lu_factor
@@ -62,10 +63,8 @@ class LUFactorization:
                 i += 1
         s, log = ctx.transform(mu), ctx._log
         self._ctx = ctx
-        self._share = [log[s[(e - r) % mod]] for e in helpers]   # -1 where 0
+        self._share = [log[v] if (v := s[(e - r) % mod]) else 2 * mod for e in helpers]
 
-    def solve(self, traces) -> int:
-        """The window's share of f(x0) from the helpers' traces, in helper order."""
-        log = self._ctx._log
-        return self._ctx.sum_powers([ls + log[v] for ls, v in zip(self._share, traces)
-                                     if v and ls >= 0])
+    def solve(self, tlogs) -> int:
+        """The window's share of f(x0) from the logs of the helpers' traces, in helper order."""
+        return self._ctx.sum_products(self._share, tlogs)

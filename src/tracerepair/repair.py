@@ -24,15 +24,15 @@ form (linalg), and a repair takes it as one sum over the helpers:
 recover_missing_traces returns the sum of s_((e - r) mod N) tau_e;
 gw_finish returns minus the sum of omega^e tau_e over the same helpers,
 and a repair adds the two.  With d = 0 the window is empty and its
-share is 0.  combine, which takes traces from a caller, first refuses
-any outside B, which no helper sends; the pipeline's own download is
-read from the trace table, whose entries all lie in B, so it goes to
-the two sums unchecked.
+share is 0.  Both sums take the traces as logs, 2 N for a zero trace,
+and run as the field's sum_products.  combine, which takes traces from
+a caller, first refuses any outside B, which no helper sends, then
+takes their logs once; the pipeline's own download is logs already.
 
 Every per-helper step of a repair is a table read, with no field method
 call per helper.  The download reads helper e's value v at the slot of
-x0 + omega^e and ships the trace of v / omega^e, the trace table's
-entry at log v - e, which is indexed by log; both sums run on logs.
+x0 + omega^e, log(x0 XOR omega^e) + 1 for p = 2, and ships the trace of
+v / omega^e as its log, the trace-log table's entry at log v - e.
 """
 
 from __future__ import annotations
@@ -79,8 +79,11 @@ class RepairPlan:
 def gw_max_k(ctx: FieldTower | CosetCollection) -> int:
     """Largest message length the trace recombination can finish.
 
-    Only q and t are read, so the tower's coset collection serves too.
+    Only q and t are read, so the tower's coset collection serves too;
+    anything else raises ValueError.
     """
+    if not isinstance(ctx, (FieldTower, CosetCollection)):
+        raise ValueError(f"expected a FieldTower or a CosetCollection, got {type(ctx).__name__}")
     n = ctx.q ** ctx.t
     return n - n // ctx.q
 
@@ -113,30 +116,29 @@ def _check_shape(plan: RepairPlan, traces) -> None:
         raise ValueError("downloaded traces must list the helpers in helper_exps order")
 
 
-def recover_missing_traces(plan: RepairPlan, downloaded) -> int:
-    """The window's share of f(x0) from the helpers' traces.
+def recover_missing_traces(plan: RepairPlan, tlogs) -> int:
+    """The window's share of f(x0) from the logs of the helpers' traces.
 
-    downloaded lists the traces in plan.helper_exps order, each in B.
+    tlogs lists log tau_e in plan.helper_exps order, 2 N for tau_e = 0.
     Anything but a plan, or anything but a list or tuple of the right
     length, raises ValueError.  The entries are not read here: combine
-    refuses those a caller got wrong, and the pipeline's are trace
+    takes them from traces it checked, and the pipeline's are trace-log
     table entries.  The share is the sum over helpers e of
     s_((e - r) mod N) tau_e, the plan's one solve.
     """
-    _check_shape(plan, downloaded)
-    return plan._share.solve(downloaded)
+    _check_shape(plan, tlogs)
+    return plan._share.solve(tlogs)
 
 
-def gw_finish(ctx: FieldTower, exps, traces) -> int:
+def gw_finish(ctx: FieldTower, exps, tlogs) -> int:
     """The Guruswami-Wootters finish over the traces tau_e at exponents e.
 
-    tau_e = trace(f(x0 + omega^e) / omega^e), in B.  Expanding f(x0)
-    over the dual basis and exchanging the sums gives
-    f(x0) = -sum over every e < n - 1 of omega^e * tau_e; this is that
-    sum's part over the exponents given.
+    tau_e = trace(f(x0 + omega^e) / omega^e), in B, given by its log,
+    2 (n - 1) for 0.  Expanding f(x0) over the dual basis and exchanging
+    the sums gives f(x0) = -sum over every e < n - 1 of omega^e * tau_e;
+    this is that sum's part over the exponents given.
     """
-    log = ctx._log
-    return ctx.neg(ctx.sum_powers([e + log[v] for e, v in zip(exps, traces) if v]))
+    return ctx.neg(ctx.sum_products(exps, tlogs))
 
 
 def combine(plan: RepairPlan, traces) -> int:
@@ -154,8 +156,8 @@ def combine(plan: RepairPlan, traces) -> int:
         # ctx.in_base_field's log test, inline: no method call per helper
         if not (type(v) is int and 0 <= v < order and (v == 0 or log[v] % step == 0)):
             raise ValueError(f"trace from helper w^{e} is not in the base field")
-    share = recover_missing_traces(plan, traces)
-    return ctx.add(share, gw_finish(ctx, plan.helper_exps, traces))
+    tlogs = [log[v] if v else 2 * (order - 1) for v in traces]
+    return ctx.add(recover_missing_traces(plan, tlogs), gw_finish(ctx, plan.helper_exps, tlogs))
 
 
 @dataclass(frozen=True)
@@ -171,11 +173,11 @@ def repair_pipeline(ctx: FieldTower, k: int, r: int, cw: Codeword,
 
     With x0 the erased point, the helper at exponent e is read in place
     at x0 + omega^e and ships tau_e = trace(f(x0 + omega^e) / omega^e),
-    by table reads only: the slot from the field's logs_plus, then
-    tau_e = Tr(omega^(log v - e)) from the trace table, which is indexed
-    by log, for the value v there, 0 for v = 0.  The window's share of
-    the helpers' traces plus the finish is f(x0) = -sum over e of
-    omega^e * tau_e.
+    by table reads only: the slot, from the log table for p = 2 and the
+    field's logs_plus for odd p, then log tau_e, the trace-log table's
+    entry at log v - e for the value v there, 2 (n - 1) for v = 0.  The
+    window's share of the helpers' traces plus the finish is
+    f(x0) = -sum over e of omega^e * tau_e.
     Returns the recovered value and the download accounting.  plan is
     build_plan's for (k, r); the caller builds it once for every erasure.
     """
@@ -194,16 +196,21 @@ def repair_pipeline(ctx: FieldTower, k: int, r: int, cw: Codeword,
 
     (position,) = cw.erased
     helpers = plan.helper_exps
-    values, log, trace = cw.values, ctx._log, ctx._trace_by_log
+    values, log, tlog, zero = cw.values, ctx._log, ctx._trace_log, 2 * (ctx.order - 1)
+    x0 = position_point(ctx, position)
     # Helper e sits at slot log(x0 + w^e) + 1, or at slot 0 where that
-    # point is 0 (logs_plus gives -1 there).  x0 + w^e != x0, and cw has
-    # exactly one erasure, at x0, so no read below touches an erased slot.
-    # log v - e lies in (-N, N), and a negative index wraps mod N.
-    slots = ctx.logs_plus(position_point(ctx, position), helpers)
-    downloaded = [trace[log[v] - e] if (v := values[ls + 1]) else 0
-                  for e, ls in zip(helpers, slots)]
-    # combine without its B test: every trace table entry lies in B
-    value = ctx.add(recover_missing_traces(plan, downloaded), gw_finish(ctx, helpers, downloaded))
+    # point is 0 (log[0] and logs_plus give -1 there).  x0 + w^e != x0, and
+    # cw has exactly one erasure, at x0, so no read below touches an erased
+    # slot.  log v - e lies in (-N, N), and a negative index wraps mod N.
+    if ctx.p == 2:
+        antilog = ctx._antilog
+        tlogs = [tlog[log[v] - e] if (v := values[log[x0 ^ antilog[e]] + 1]) else zero
+                 for e in helpers]
+    else:
+        tlogs = [tlog[log[v] - e] if (v := values[ls + 1]) else zero
+                 for e, ls in zip(helpers, ctx.logs_plus(x0, helpers))]
+    # combine without its B test and its logs: every entry is a trace-log table's
+    value = ctx.add(recover_missing_traces(plan, tlogs), gw_finish(ctx, helpers, tlogs))
     nsym = len(helpers)
     return value, BandwidthReport(nsym, nsym, nsym * ctx.bits_per_symbol)
 

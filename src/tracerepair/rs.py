@@ -74,7 +74,10 @@ def encode(ctx: FieldTower, coeffs) -> Codeword:
         cyclic[0] = ctx.add(coeffs[0], coeffs[mod])
     log = ctx._log
     values = ctx.transform([log[c] if c else -1 for c in cyclic])
-    return Codeword(ctx, k, (coeffs[0], *values), frozenset())
+    # k and coeffs[0] are checked above, the rest are antilog entries: no re-check
+    cw = object.__new__(Codeword)
+    cw.__dict__.update(ctx=ctx, k=k, values=(coeffs[0], *values), erased=frozenset())
+    return cw
 
 
 def erase(cw: Codeword, j: int) -> Codeword:

@@ -45,3 +45,13 @@ def gf25():
 @pytest.fixture(scope="session")
 def gf64_over_gf8():
     return construct_field(2, 3, 2)
+
+
+def _trace_logs(ctx, traces):
+    """Traces as the repair's sums take them: log v, or 2 (order - 1) for 0."""
+    return [ctx.log(v) if v else 2 * (ctx.order - 1) for v in traces]
+
+
+@pytest.fixture(scope="session")
+def trace_logs():
+    return _trace_logs

@@ -68,7 +68,7 @@ def _window(draw):
 
 
 @given(_window())
-def test_lu_round_trip(case) -> None:
+def test_lu_round_trip(trace_logs, case) -> None:
     """The share is the window's part of the finish, -sum of omega^e tau_e
     over the window traces the oracle's elimination recovers."""
     plan, downloaded = case
@@ -77,4 +77,4 @@ def test_lu_round_trip(case) -> None:
     want = ctx.neg(reduce(ctx.add, (ctx.mul(ctx.exp(e), traces[e])
                                     for e in plan.omitted_exps), 0))
     share = linalg.LUFactorization(ctx, plan.cosets.selected, plan.r, plan.helper_exps)
-    assert share.solve(downloaded) == want
+    assert share.solve(trace_logs(ctx, downloaded)) == want

@@ -20,12 +20,17 @@ from tracerepair.rs import Codeword, encode
 @pytest.mark.parametrize("tower", VERIFICATION_FIELDS + ((7, 1, 3), (3, 1, 5),
                                                        (2, 2, 4), (2, 5, 2)))
 def test_trace_table_and_base_test_match_the_conjugates(tower) -> None:
-    """The field's trace table, indexed by log, and its log test for B, against x^q."""
+    """The field's trace-log table and its log test for B, against x^q.
+
+    Entry i is log Tr(w^i), or the sentinel 2 (order - 1) where the
+    trace is 0.
+    """
     ctx = construct_field(*tower)
-    table = ctx._trace_by_log
+    table = ctx._trace_log
     assert len(table) == ctx.order - 1
-    for i, tr in enumerate(table):
-        assert tr == conjugate_trace(ctx, ctx.exp(i)) and ctx.in_base_field(tr)
+    for i, lt in enumerate(table):
+        tr = conjugate_trace(ctx, ctx.exp(i))
+        assert lt == (ctx.log(tr) if tr else 2 * (ctx.order - 1)) and ctx.in_base_field(tr)
     for x in range(ctx.order):
         assert ctx.trace(x) == conjugate_trace(ctx, x)
         assert ctx.in_base_field(x) == (ctx.pow(x, ctx.q) == x)

@@ -7,6 +7,7 @@ import random
 import time
 from dataclasses import replace
 from functools import cache
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -184,7 +185,8 @@ def test_factor_matrices_invertible(gf9, gf64_over_gf8) -> None:
                 assert rank(ctx, window_block(plan)) == plan.dim
 
 
-def test_combine_matches_reference_every_plan(gf9, gf16_over_gf4, gf64_over_gf8) -> None:
+def test_combine_matches_reference_every_plan(gf9, gf16_over_gf4, gf64_over_gf8,
+                                              trace_logs) -> None:
     """combine on random B-valued downloads, which no codeword need explain,
     is minus the sum of omega^e tau_e over the oracle's full trace vector."""
     rng = random.Random(17)
@@ -197,7 +199,7 @@ def test_combine_matches_reference_every_plan(gf9, gf16_over_gf4, gf64_over_gf8)
             for r in every:
                 plan = build_plan(ctx, fc, r)
                 downloaded = [rng.choice(base) for _ in plan.helper_exps]
-                want = gw_finish(ctx, every, reference_traces(plan, downloaded))
+                want = gw_finish(ctx, every, trace_logs(ctx, reference_traces(plan, downloaded)))
                 assert combine(plan, downloaded) == want, (ctx, k, r)
 
 
@@ -223,7 +225,7 @@ def test_plan_and_repair_gf4096_within_bound() -> None:
     assert elapsed < 10.0, elapsed
 
 
-def test_degenerate_plan_no_window(gf4) -> None:
+def test_degenerate_plan_no_window(gf4, trace_logs) -> None:
     plan = _plan(gf4, 2, 0)
     assert plan.dim == 0
     assert plan.omitted_exps == ()
@@ -231,7 +233,7 @@ def test_degenerate_plan_no_window(gf4) -> None:
     assert verify_factorization(plan)
     truth = _direct_traces(gf4, encode(gf4, (3, 2)))
     assert reference_traces(plan, truth) == truth
-    assert recover_missing_traces(plan, truth) == 0
+    assert recover_missing_traces(plan, trace_logs(gf4, truth)) == 0
     assert combine(plan, truth) == 3
 
 
@@ -286,14 +288,23 @@ def test_gw_bound(gf9, gf4, gf64_over_gf8) -> None:
     assert gw_max_k(gf64_over_gf8) == 56
 
 
+def test_gw_max_k_refuses_anything_but_a_tower_or_collection(gf9) -> None:
+    """Only q and t are read, but a look-alike is no tower: ValueError, not AttributeError."""
+    for bad in ("x", None, 9, (3, 2), SimpleNamespace(q=3, t=2), _plan(gf9, 3, 0)):
+        with pytest.raises(ValueError, match="FieldTower or a CosetCollection"):
+            gw_max_k(bad)
+    assert gw_max_k(enumerate_cosets(3, 2)) == gw_max_k(gf9) == 6
+
+
 # -- trace recovery -------------------------------------------------
 
-def _window_part(plan, truth) -> int:
+def _window_part(plan, truth, trace_logs) -> int:
     """The window's part of the finish, -sum over the window of omega^e tau_e."""
-    return gw_finish(plan.ctx, plan.omitted_exps, [truth[e] for e in plan.omitted_exps])
+    window = [truth[e] for e in plan.omitted_exps]
+    return gw_finish(plan.ctx, plan.omitted_exps, trace_logs(plan.ctx, window))
 
 
-def test_recover_matches_direct_traces_exhaustive(gf9) -> None:
+def test_recover_matches_direct_traces_exhaustive(gf9, trace_logs) -> None:
     """The oracle recovers the true window, and the plan's share is its part of the finish."""
     plan = _plan(gf9, 3, 0)
     for coeffs in itertools.product(range(9), repeat=3):
@@ -301,10 +312,11 @@ def test_recover_matches_direct_traces_exhaustive(gf9) -> None:
         truth = _direct_traces(gf9, cw)
         downloaded = [truth[e] for e in plan.helper_exps]
         assert reference_traces(plan, downloaded) == truth
-        assert recover_missing_traces(plan, downloaded) == _window_part(plan, truth)
+        assert (recover_missing_traces(plan, trace_logs(gf9, downloaded))
+                == _window_part(plan, truth, trace_logs))
 
 
-def test_recover_matches_direct_traces_random(gf64_over_gf8) -> None:
+def test_recover_matches_direct_traces_random(gf64_over_gf8, trace_logs) -> None:
     ctx = gf64_over_gf8
     rng = random.Random(23)
     for k, r in ((1, 0), (10, 40), (30, 62)):
@@ -314,7 +326,8 @@ def test_recover_matches_direct_traces_random(gf64_over_gf8) -> None:
             truth = _direct_traces(ctx, cw)
             downloaded = [truth[e] for e in plan.helper_exps]
             assert reference_traces(plan, downloaded) == truth
-            assert recover_missing_traces(plan, downloaded) == _window_part(plan, truth)
+            assert (recover_missing_traces(plan, trace_logs(ctx, downloaded))
+                    == _window_part(plan, truth, trace_logs))
 
 
 def test_recover_requires_exact_helper_cover(gf9) -> None:
@@ -360,16 +373,22 @@ def test_one_factorization_per_plan_one_solve_per_repair(gf64_over_gf8,
 @pytest.mark.parametrize("p,m,t,k", [(2, 3, 2, 10), (2, 1, 4, 1), (2, 1, 6, 1),
                                      (7, 1, 3, 147), (3, 1, 2, 2)])
 def test_repair_is_one_solve_and_two_sums(p, m, t, k, monkeypatch) -> None:
-    """A repair solves once and hands sum_powers two calls of at most n - 1 - d terms."""
+    """A repair solves once.  For p = 2 both sums are XOR-reduces on logs,
+    with no sum_powers or logs_plus call; for odd p, logs_plus places the
+    helpers and sum_powers gets two calls of at most n - 1 - d terms."""
     ctx = construct_field(p, m, t)
     plan = _plan(ctx, k, 5)
     calls = []
-    real_sum = ctx.sum_powers
+    real_sum, real_logs_plus = ctx.sum_powers, ctx.logs_plus
     real_solve = linalg.LUFactorization.solve
 
     def sum_powers(exps):
         calls.append(len(exps))
         return real_sum(exps)
+
+    def logs_plus(x, exps):
+        calls.append("logs_plus")
+        return real_logs_plus(x, exps)
 
     def solve(self, traces):
         calls.append("solve")
@@ -378,11 +397,17 @@ def test_repair_is_one_solve_and_two_sums(p, m, t, k, monkeypatch) -> None:
     # encoding sums powers too, so it runs before the patch
     cw = encode(ctx, tuple(range(1, k + 1)))
     monkeypatch.setattr(ctx, "sum_powers", sum_powers)
+    monkeypatch.setattr(ctx, "logs_plus", logs_plus)
     monkeypatch.setattr(linalg.LUFactorization, "solve", solve)
-    got, _ = repair_pipeline(ctx, k, 5, erase(cw, 0), plan=plan)
-    assert got == cw.values[0]
-    assert calls[0] == "solve" and len(calls) == 3
-    assert all(0 < size <= ctx.order - 1 - plan.dim for size in calls[1:])
+    for position in (0, 7):
+        calls.clear()
+        got, _ = repair_at(ctx, k, 5, erase(cw, position), position, plan)
+        assert got == cw.values[position]
+        if p == 2:
+            assert calls == ["solve"]
+        else:
+            assert calls[:2] == ["logs_plus", "solve"] and len(calls) == 4
+            assert all(0 < size <= ctx.order - 1 - plan.dim for size in calls[2:])
 
 
 @pytest.mark.parametrize("p,m,t,k", [(2, 1, 4, 2), (2, 1, 4, 4), (2, 3, 2, 10)])
@@ -465,12 +490,12 @@ def _trace_vectors(draw):
 
 @settings(max_examples=60)
 @given(_trace_vectors())
-def test_recover_and_finish_give_back_the_truth(case) -> None:
+def test_recover_and_finish_give_back_the_truth(trace_logs, case) -> None:
     plan, coeffs, truth = case
-    downloaded = [truth[e] for e in plan.helper_exps]
-    share = recover_missing_traces(plan, downloaded)
-    assert share == _window_part(plan, truth)
-    assert plan.ctx.add(share, gw_finish(plan.ctx, plan.helper_exps, downloaded)) == coeffs[0]
+    tlogs = trace_logs(plan.ctx, [truth[e] for e in plan.helper_exps])
+    share = recover_missing_traces(plan, tlogs)
+    assert share == _window_part(plan, truth, trace_logs)
+    assert plan.ctx.add(share, gw_finish(plan.ctx, plan.helper_exps, tlogs)) == coeffs[0]
 
 
 @settings(max_examples=60)
@@ -517,12 +542,13 @@ def test_combine_gives_back_the_stored_symbol(tower, data) -> None:
 
 
 @pytest.mark.parametrize("tower", [(3, 1, 2), (2, 2, 2), (2, 3, 2), (3, 1, 3), (7, 1, 3)])
-def test_pipeline_is_combine_on_its_download(tower, monkeypatch) -> None:
-    """The pipeline's download is the true helper traces, and its value is combine's.
+def test_pipeline_is_combine_on_its_download(tower, monkeypatch, trace_logs) -> None:
+    """The pipeline's download is the logs of the true helper traces, and its value is combine's.
 
-    The download, read by log from the trace table, is caught where it
-    enters recover_missing_traces and checked against the conjugate
-    traces at seeded positions and window starts.
+    The download, read from the trace-log table, is caught where it
+    enters recover_missing_traces and checked against the logs of the
+    conjugate traces, 2 (n - 1) for a zero trace, at seeded positions and
+    window starts.
     """
     ctx = construct_field(*tower)
     n = ctx.order
@@ -548,26 +574,48 @@ def test_pipeline_is_combine_on_its_download(tower, monkeypatch) -> None:
                 x = ctx.add(x0, ctx.exp(e))
                 value = cw.values[ctx.log(x) + 1 if x else 0]
                 want.append(conjugate_trace(ctx, ctx.mul(value, ctx.inv(ctx.exp(e)))))
-            assert downloaded == want
-            assert got == combine(plan, downloaded) == cw.values[position]
+            assert downloaded == trace_logs(ctx, want)
+            assert got == combine(plan, want) == cw.values[position]
+
+
+@pytest.mark.parametrize("tower", VERIFICATION_FIELDS)
+def test_all_zero_codeword_every_plan(tower) -> None:
+    """The zero codeword's helpers all ship the zero trace, whose log
+    sentinel meets the share's wherever a share coefficient is 0.  The
+    repair at every position and combine give back 0 at every k and at
+    r in {0, n - 2}, and some plan of every tower has a zero coefficient.
+    """
+    ctx = construct_field(*tower)
+    n, zero = ctx.order, 2 * (ctx.order - 1)
+    cc = enumerate_cosets(ctx.q, ctx.t)
+    hits = 0
+    for k in range(1, gw_max_k(ctx) + 1):
+        cw = encode(ctx, [0] * k)
+        for r in (0, n - 2):
+            plan = build_plan(ctx, filter_cosets(cc, k), r)
+            hits += zero in plan._share._share
+            assert combine(plan, [0] * len(plan.helper_exps)) == 0
+            for position in range(n):
+                assert repair_at(ctx, k, r, erase(cw, position), position, plan)[0] == 0
+    assert hits > 0
 
 
 # -- finishing ------------------------------------------------------
 
-def test_gw_finish_exhaustive_small_k(gf9) -> None:
+def test_gw_finish_exhaustive_small_k(gf9, trace_logs) -> None:
     for k in (1, 2, 3):
         for coeffs in itertools.product(range(9), repeat=k):
             cw = encode(gf9, coeffs)
-            assert gw_finish(gf9, range(8), _direct_traces(gf9, cw)) == cw.values[0]
+            assert gw_finish(gf9, range(8), trace_logs(gf9, _direct_traces(gf9, cw))) == cw.values[0]
 
 
-def test_gw_finish_random_large_k(gf9, gf64_over_gf8) -> None:
+def test_gw_finish_random_large_k(gf9, gf64_over_gf8, trace_logs) -> None:
     rng = random.Random(31)
     for ctx, ks in ((gf9, (4, 5, 6)), (gf64_over_gf8, (56,))):
         for k in ks:
             for _ in range(300 if ctx is gf9 else 100):
                 cw = encode(ctx, tuple(rng.randrange(ctx.order) for _ in range(k)))
-                truth = _direct_traces(ctx, cw)
+                truth = trace_logs(ctx, _direct_traces(ctx, cw))
                 assert gw_finish(ctx, range(ctx.order - 1), truth) == cw.values[0]
 
 

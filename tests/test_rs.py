@@ -108,6 +108,42 @@ def test_codeword_refuses_message_lengths_and_erasures_out_of_range(gf9) -> None
     assert Codeword(gf9, 9, values, frozenset({0, 8})).erased == {0, 8}
 
 
+@pytest.mark.parametrize("tower", [(3, 1, 2), (2, 3, 2), (7, 1, 3)])
+def test_encode_skips_the_check_a_caller_gets(tower, monkeypatch) -> None:
+    """encode's codeword is not checked again; one a caller builds still is.
+
+    With Codeword's check patched to raise, encode still returns the
+    codeword it returns unpatched, field for field as Codeword(...) builds
+    it over the same values.  A caller's bad value or erased position is
+    refused, by Codeword(...) and by dataclasses.replace alike.
+    """
+    ctx = construct_field(*tower)
+    n, msg = ctx.order, (5, 0, 3, 1)
+    want = encode(ctx, msg)
+
+    def no_check(self):
+        raise AssertionError("encode checked its codeword again")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Codeword, "__post_init__", no_check)
+        cw = encode(ctx, msg)
+    built = Codeword(ctx, 4, want.values, frozenset())
+    assert type(cw) is Codeword
+    assert vars(cw) == vars(built) == vars(want)
+    assert erase(cw, 3).value_at(4) == built.values[4]
+    for bad in (-1, n, 1.0, True):
+        values = (bad,) + cw.values[1:]
+        with pytest.raises(ValueError, match=f"holds {n} field elements"):
+            Codeword(ctx, 4, values, frozenset())
+        with pytest.raises(ValueError, match=f"holds {n} field elements"):
+            replace(cw, values=values)
+    for erased in ({n}, {-1}, {True}):
+        with pytest.raises(ValueError, match="erased positions"):
+            Codeword(ctx, 4, cw.values, frozenset(erased))
+        with pytest.raises(ValueError, match="erased positions"):
+            replace(cw, erased=frozenset(erased))
+
+
 def test_erase_arbitrary_position(gf9) -> None:
     cw = encode(gf9, (1, 2, 3))
     gone = erase(cw, 5)
