@@ -42,28 +42,29 @@ helpers for odd p, the points x0 + w^e, and with x = -1 gives a plan's
 log(w^i - 1).
 
 transform is the length-N cyclic transform, sum over u of a_u w^(u j),
-N = p^(m*t) - 1.  It encodes a codeword and builds a plan's share.  It
-runs by mixed-radix decimation in time over the prime factors of N,
-taken with multiplicity, largest at the leaves, as an iterative loop
-over levels from the leaves up.  A level of radix p' holds all of its
-subproblems in one length-N list, subproblem-outer, so the p' columns
-it combines are contiguous slices.  Each column is laid out in output
-order by repeating slices of it, a copy in C.  Column 0 becomes the
-accumulator; for each other column one list comprehension over all N
-outputs adds the column entry times its twiddle into it, and a column
-that is all zero is skipped.  At the leaves the columns are runs of
-consecutive inputs, so the zero tail of a short message costs no pass.
-The terms are logs: for p = 2 each adds by XOR of an antilog read, for
-odd p by a Zech add through two tables, with 0 a log sentinel.  The
-cost is about N times the sum of the prime factors of N, in one pass
-per column with no kernel call per output.  What depends on the tower
-alone, the schedule, is built on the first call and kept: the factors
-of N, the sentinel's tables, and each level's twiddles, whose entries
-point into one sequence of N ints.  A level whose twiddles would hold
-more than 4 N entries, a radix above about 2 sqrt(N) at the leaves,
-makes each column's in its pass instead.  Later calls only run
-passes.  The schedule is all tuples: no call can change it, and the
-garbage collector does not walk a tuple of ints.
+N = p^(m*t) - 1, from N field elements to N.  It encodes a codeword and
+builds a plan's share.  It runs by mixed-radix decimation in time over
+the prime factors of N, taken with multiplicity, largest at the leaves,
+as an iterative loop over levels from the leaves up.  A level of radix
+p' holds all of its subproblems in one length-N list, subproblem-outer,
+so the p' columns it combines are contiguous slices.  Each column is
+laid out in output order by repeating slices of it, a copy in C.
+Column 0 becomes the accumulator; for each other column one list
+comprehension over all N outputs adds the column entry times its
+twiddle into it, and an all-zero column is skipped, so the zero tail
+of a short message costs no pass at the leaves.  For p = 2 the
+accumulator is values, and a column turns to logs, 0 a log sentinel,
+just before its pass XORs in an antilog read per term; odd p turns its
+input to logs once, adds by Zech through two tables and reads the
+output through the antilog.  The cost is about N times the sum of the
+prime factors of N, with no kernel call per output.  What depends on
+the tower alone, the schedule, is built on the first call and kept:
+the factors of N, the padded antilog, odd p's two tables, and each
+level's twiddles, whose entries point into one sequence of N ints.  A
+level whose twiddles would hold more than 4 N entries, a radix above
+about 2 sqrt(N) at the leaves, makes each column's in its pass instead.
+Later calls only run passes.  The schedule is all tuples: no call can
+change it, and the garbage collector does not walk a tuple of ints.
 
 Construction is deterministic: the modulus is the monic irreducible
 polynomial of degree m*t with the smallest integer encoding, found by
@@ -425,7 +426,7 @@ class FieldTower:
         return self._antilog[e % (self.order - 1)]
 
     def log(self, x: int) -> int:
-        if x == 0:
+        if self._element(x) == 0:
             raise ValueError("log of zero")
         return self._log[x]
 
@@ -456,50 +457,50 @@ class FieldTower:
         zero = 2 * (self.order - 1)
         return self.sum_powers([s for x, y in zip(xs, ys) if (s := x + y) < zero])
 
-    def transform(self, logs: list[int]) -> list[int]:
+    def transform(self, coeffs: list[int]) -> list[int]:
         """sum over u < N of a_u w^(u j) for each j < N = order - 1.
 
-        logs holds N entries: logs[u] is the discrete log of a_u, or -1
-        where a_u = 0.  The levels run from the leaves up, one column
-        pass per digit of each radix, largest radix at the leaves, on
-        the tower's schedule (see the module docstring).
+        coeffs holds the N field elements a_u.  The levels run from the
+        leaves up on the tower's schedule (see the module docstring).
         """
-        zero, antilog, log, plus, norm, values, levels = self._schedule or self._build_schedule()
-        # cur holds the outputs of `parts` subproblems of length `sub` as
-        # logs, subproblem-outer; at the leaves they are the inputs.  A
-        # subproblem of the level above combines those numbered
-        # sigma + parts s for s < radix, whose outputs make column s, the
-        # slice of cur of length parts sub from s parts sub.
-        cur = [lu if lu >= 0 else zero for lu in logs]
+        zero, antilog, plus, norm, values, levels = self._schedule or self._build_schedule()
+        if len(coeffs) != self.order - 1:
+            raise ValueError(f"a transform takes {self.order - 1} coefficients, got {len(coeffs)}")
+        log, p2 = self._log, self.p == 2
+        # cur holds the outputs of `parts` subproblems of length `sub`, values
+        # for p = 2 and logs for odd p, subproblem-outer, at the leaves the
+        # inputs.  Those numbered sigma + parts s, s < radix, make a subproblem
+        # of the level above, and column s is the slice of cur from s parts sub.
+        cur = list(coeffs) if p2 else [log[v] if v else zero for v in coeffs]
         for radix, parts, sub, twiddles in levels:
             length = parts * sub
-            # column 0 has no twiddle: its pass is the gather
-            column = _tiled(cur[:length], radix, sub)
-            acc = [antilog[c] for c in column] if self.p == 2 else column
+            # column 0 has no twiddle: tiled, it is the accumulator
+            acc = _tiled(cur[:length], radix, sub)
             for s in range(1, radix):
                 col = cur[s * length:(s + 1) * length]
-                if col.count(zero) == length:
+                if col.count(0 if p2 else zero) == length:
                     continue
                 tw = twiddles[s - 1] if twiddles else _twiddles(values, parts, s, radix * sub)
-                if self.p == 2:
+                if p2:
+                    col = [log[v] if v else zero for v in col]
                     acc = _xor_pass(acc, _tiled(col, radix, sub), tw * parts, antilog)
                 else:
                     acc = _zech_pass(acc, _tiled(col, radix, sub), tw * parts, plus, norm)
-            cur = [log[v] for v in acc] if self.p == 2 else acc
-        return [antilog[lu] for lu in cur]
+            cur = acc
+        return cur if p2 else [antilog[lu] for lu in cur]
 
     def _build_schedule(self) -> tuple:
         """What transform reads besides its input; built on its first call.
 
-        The sentinel log of 0, the tables its terms add through, the N
-        twiddle values, and per level from the leaves up (radix, parts,
-        sub, twiddles), twiddles holding one tuple of span = radix sub
-        logs per column s >= 1, or None where each pass makes its own:
-        output j of a subproblem takes its column entry times
-        w^(parts s j).  They point into the one tuple of values, so they
-        cost a pointer per entry.  Every part is a tuple, so no call can
-        change it, and the garbage collector stops tracking a tuple of
-        ints, so a large tower's schedule adds nothing to a collection.
+        The sentinel log of 0, the antilog padded with 0 past it, odd p's
+        two Zech tables, the N twiddle values, and per level from the
+        leaves up (radix, parts, sub, twiddles), twiddles holding one
+        tuple of span = radix sub logs per column s >= 1, or None where
+        each pass makes its own: output j of a subproblem takes its
+        column entry times w^(parts s j).  They point into the one tuple
+        of values, so they cost a pointer per entry.  Every part is a
+        tuple, so no call can change it, and the garbage collector stops
+        tracking a tuple of ints: it adds nothing to a collection.
         """
         mod = self.order - 1
         # the log of 0 inside the transform, past every log and log sum
@@ -508,19 +509,19 @@ class FieldTower:
         # 0, 1, ..., mod - 1 as the log table's own ints, so no new int object
         exps = tuple([self._log[x] for x in self._antilog[:mod]])
         if self.p == 2:
-            log, plus, norm, values = (zero, *self._log[1:]), None, None, exps
+            plus, norm, values = None, None, exps
         else:
             # w^a + w^e = w^norm[a + plus[e + zero - a]] for a term's log e:
             #   a, e nonzero: the index lies in (2 mod, 5 mod), zech[e - a],
-            #                 or 2 mod where w^a + w^e = 0, sent by norm to zero;
+            #                 or -mod where w^a + w^e = 0, wrapping into norm's zero tail;
             #   e zero:       in (5 mod, 7 mod), 0, so the sum is w^a;
-            #   a zero:       in [0, 2 mod), e - zero, so the sum is w^e;
+            #   a zero:       in [0, 2 mod), e % mod - zero, so the sum is w^e;
             #   both zero:    in [3 mod, 4 mod), and norm sends zero + zech to zero.
             # The twiddles carry the + zero.
-            zech = tuple([z if z >= 0 else 2 * mod for z in self._zech[:mod]])
-            plus = tuple(range(-zero, -mod)) + zech * 3 + (0,) * (2 * mod)
-            norm = exps * 2 + (zero,) * (3 * mod + 1)
-            log, values = None, tuple(range(zero, zero + mod))
+            zech = tuple([z if z >= 0 else -mod for z in self._zech[:mod]])
+            plus = tuple(range(-zero, -2 * mod)) * 2 + zech * 3 + (0,) * (2 * mod)
+            norm = exps * 2 + (zero,) * (2 * mod)
+            values = tuple(range(zero, zero + mod))
         levels, parts, sub = [], mod, 1
         for f in reversed(_prime_factors(mod)):
             while parts % f == 0:
@@ -532,7 +533,7 @@ class FieldTower:
                             if (f - 1) * span <= 4 * mod else None)
                 levels.append((f, parts, sub, twiddles))
                 sub = span
-        self._schedule = (zero, antilog, log, plus, norm, values, tuple(levels))
+        self._schedule = (zero, antilog, plus, norm, values, tuple(levels))
         return self._schedule
 
     def logs_plus(self, x: int, exps) -> list[int]:

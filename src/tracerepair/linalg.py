@@ -43,7 +43,7 @@ class LUFactorization:
     """
 
     def __init__(self, ctx, cosets, r, helpers):
-        mod, q = ctx.order - 1, ctx.q
+        mod, q, antilog = ctx.order - 1, ctx.q, ctx._antilog
         exps = [a for coset in cosets for a in coset.elements]
         minus_one = ctx.logs_plus(ctx.neg(1), range(mod))   # log(w^i - 1)
         twice = minus_one + minus_one   # twice[a + N - b] = L[a - b], a and b in [0, N)
@@ -51,14 +51,14 @@ class LUFactorization:
         to_w = [a + minus_one[(1 - a) % mod] for a in exps]   # log(w - w^a)
         top = r + sum(to_w)   # log w^r P(w)
         total = sum(exps)
-        mu = [-1] * mod   # log mu_a at a, -1 off A
+        mu = [0] * mod   # mu_a at a, 0 off A
         i = 0
         for coset in cosets:
             a = exps[i]
             # log P'(w^a) at the leader; the b = a term adds L[0] = -1
             deriv = total - a + 1 + sum([twice[a + nb] for nb in negs])
             for _ in coset.elements:
-                mu[exps[i]] = (top - deriv - to_w[i]) % mod
+                mu[exps[i]] = antilog[(top - deriv - to_w[i]) % mod]
                 deriv = deriv * q % mod
                 i += 1
         s, log = ctx.transform(mu), ctx._log

@@ -4,11 +4,10 @@ The evaluation set is all of F in a fixed order: position 0 holds the
 value at the field element 0, position j >= 1 holds the value at
 omega^(j-1).  Positions 1 .. N, N = |F| - 1, are therefore the length-N
 cyclic transform of the coefficients, f(omega^j) = sum over i of
-c_i omega^(i j).  FieldTower.transform computes it level by level, one
-pass over all N outputs per column of each radix, about N times the
-sum of the prime factors of N terms against N k for evaluating point
-by point; at the leaves the zero tail of a short message is skipped
-whole.
+c_i omega^(i j).  FieldTower.transform takes them as they are, one pass
+over all N outputs per column of each radix, about N times the sum of
+the prime factors of N terms against N k for evaluating point by
+point; at the leaves the zero tail of a short message is skipped whole.
 """
 
 from __future__ import annotations
@@ -72,9 +71,8 @@ def encode(ctx: FieldTower, coeffs) -> Codeword:
     cyclic = list(coeffs[:mod]) + [0] * (mod - k)
     if k > mod:
         cyclic[0] = ctx.add(coeffs[0], coeffs[mod])
-    log = ctx._log
-    values = ctx.transform([log[c] if c else -1 for c in cyclic])
-    # k and coeffs[0] are checked above, the rest are antilog entries: no re-check
+    values = ctx.transform(cyclic)
+    # k and coeffs[0] are checked above, the rest are the transform's elements: no re-check
     cw = object.__new__(Codeword)
     cw.__dict__.update(ctx=ctx, k=k, values=(coeffs[0], *values), erased=frozenset())
     return cw

@@ -170,6 +170,16 @@ def test_log_antilog_roundtrip(gf9, gf64_over_gf8) -> None:
         assert seen == set(range(1, ctx.order))
 
 
+def test_log_refuses_non_elements(gf9) -> None:
+    # a negative int, a bool or an int past the table is no element, so
+    # none of them reads the log table
+    for x in (-1, True, 9, 1.0, "1"):
+        with pytest.raises(ValueError, match="not an element"):
+            gf9.log(x)
+    with pytest.raises(ValueError, match="log of zero"):
+        gf9.log(0)
+
+
 def test_primitive_element_order(gf9, gf16_over_gf4, gf25) -> None:
     for ctx in (gf9, gf16_over_gf4, gf25):
         n1 = ctx.order - 1

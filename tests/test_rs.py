@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import copy
+import gc
 import hashlib
 import itertools
 import random
+import tracemalloc
 from dataclasses import replace
 from functools import cache
 
@@ -349,7 +351,7 @@ def test_transform_edge_cases_match_the_per_point_formula(p, m, t) -> None:
     ctx = construct_field(p, m, t)
     for logs in _log_vectors(ctx, random.Random(p * 100 + m * 10 + t)):
         coeffs = tuple(ctx.exp(lu) if lu >= 0 else 0 for lu in logs)
-        assert ctx.transform(logs) == list(_per_point(ctx, coeffs)[1:]), logs
+        assert ctx.transform(coeffs) == list(_per_point(ctx, coeffs)[1:]), logs
 
 
 @pytest.mark.parametrize("p,m,t", [(2, 5, 2), (2, 6, 2)])
@@ -357,8 +359,14 @@ def test_transform_dense_input_matches_the_per_point_formula(p, m, t) -> None:
     ctx = construct_field(p, m, t)
     rng = random.Random(17)
     coeffs = tuple(rng.randrange(ctx.order) for _ in range(ctx.order - 1))
-    logs = [ctx.log(c) if c else -1 for c in coeffs]
-    assert ctx.transform(logs) == list(_per_point(ctx, coeffs)[1:])
+    assert ctx.transform(coeffs) == list(_per_point(ctx, coeffs)[1:])
+
+
+def test_transform_refuses_a_wrong_length(gf9) -> None:
+    for coeffs in ([0] * 3, [1] * 7, [1] * 9, []):
+        with pytest.raises(ValueError, match="takes 8 coefficients"):
+            gf9.transform(coeffs)
+    assert gf9.transform([0] * 8) == [0] * 8
 
 
 # SHA-256 over encode's values of one seeded message at each k in
@@ -419,6 +427,25 @@ def test_transform_schedule_is_built_once(tower, monkeypatch) -> None:
     assert repair_at(ctx, again.k, 0, erase(cw, 5), 5, again)[0] == cw.values[5]
 
 
+# both keep the padded antilog and the twiddles; odd p keeps its two
+# Zech tables too, hence the higher bound
+@pytest.mark.parametrize("tower,bound", [((3, 1, 7), 2.05), ((2, 6, 2), 0.75)])
+def test_transform_schedule_footprint(tower, bound) -> None:
+    """The schedule's memory over the tower's own tables, by tracemalloc."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        ctx = construct_field(*tower)
+        built = tracemalloc.get_traced_memory()[0]
+        ctx._build_schedule()
+        scheduled = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    tower_bytes, schedule_bytes = built - start, scheduled - built
+    assert schedule_bytes <= bound * tower_bytes, schedule_bytes / tower_bytes
+
+
 # p = 2 with the leaves' twiddles kept; N = 31 and 26 = 2 13, whose
 # leaves (radix above 2 sqrt(N)) make their twiddles in each pass
 @pytest.mark.parametrize("tower", [(2, 3, 2), (2, 1, 5), (3, 1, 3), (7, 1, 3)])
@@ -444,7 +471,7 @@ def test_transform_calls_leave_the_schedule_unchanged(tower) -> None:
 
     def check_transform(logs):
         coeffs = tuple(ctx.exp(lu) if lu >= 0 else 0 for lu in logs)
-        assert ctx.transform(logs) == list(_per_point(ctx, coeffs)[1:])
+        assert ctx.transform(coeffs) == list(_per_point(ctx, coeffs)[1:])
 
     check_encode()
     snapshot = copy.deepcopy(ctx._schedule)
