@@ -9,62 +9,63 @@ ordinary F-arithmetic on B-valued integers and no embedding bookkeeping
 exists anywhere.
 
 Multiplication, inversion and powering run on discrete-log tables over
-a fixed primitive element w; the antilog table is stored twice over, so
-a sum of two logs indexes it without reduction.  Addition is digit-wise
-modulo p on the encoding.  For p = 2 that is XOR.  For odd p it is
-computed as x + y = x * (1 + y/x) with Zech logarithms,
+a fixed primitive element w.  With N = p^(m*t) - 1, the antilog table
+holds w^i at i and at i + N, so a sum of two logs reads it without
+reduction, then 0 up to 4 N: 2 N, defined once per tower, is the log of
+0 in every log sum.  The log table keeps -1 at 0.  Every table is a
+tuple built once, the transform's schedule too: no call can change one,
+and the garbage collector stops walking a tuple of ints.  Addition is
+digit-wise modulo p on the encoding.  For p = 2 that is XOR.  For odd p
+it is computed as x + y = x * (1 + y/x) with Zech logarithms,
 zech[i] = log(1 + w^i) (-1 where 1 + w^i = 0), built in one pass over
 the antilog table because adding 1 changes only the lowest base-p digit;
 negation multiplies by -1 = w^((p^(m*t) - 1)/2).  The integer encoding
 is the same for every p, so results match digit-wise arithmetic exactly.
 
 The trace to B is a table of logs indexed by log, log Tr(w^i) at i and
-the sentinel 2 N (N = p^(m*t) - 1) where the trace is 0, so a repair's
-download goes from a log to a log in one read, and trace(x) reads it
-at log x.  The trace is GF(p)-linear, so it fills by linearity: from
-the m*t values Tr(p^j), each the sum of the t Frobenius conjugates of
-the basis element x^j, one digit place at a time over the elements (an
-XOR of the table with itself shifted for p = 2, the p multiples of
-Tr(p^j) added to it for odd p), about p^(m*t) adds in all, and its logs
-are then read out in log order.  B-membership is a log test: x != 0
-lies in B exactly when log x is a multiple of N/(q - 1).
+2 N where the trace is 0, so a repair's download goes from a log to a
+log in one read, and trace(x) is the antilog at its entry for log x.
+The trace is GF(p)-linear, so it fills by linearity: from the m*t
+values Tr(p^j), each the sum of the t Frobenius conjugates of the basis
+element x^j, one digit place at a time over the elements (an XOR of the
+table with itself shifted for p = 2, the p multiples of Tr(p^j) added
+to it by Zech reads for odd p), about p^(m*t) table reads in all, and
+its logs are then read out in log order.  B-membership is a log test:
+x != 0 lies in B exactly when log x is a multiple of N/(q - 1).
 
 The vector kernels work on discrete logs straight from the tables, with
 no method call per element.  sum_powers sums powers of w: an XOR-reduce
 for p = 2, a Zech chain on the log of the running sum for odd p.
 sum_products, a repair's two sums, sums w^x w^y over pairs of logs, 2 N
-standing for 0: for p = 2 an XOR-reduce of the transform's antilog, 0
-from 2 N to 4 N, at x + y, with no test per pair; for odd p sum_powers
-over the x + y below 2 N.  logs_plus gives log(x + w^e) for a list of
-exponents e by one table read each: log(x XOR w^e) for p = 2, and for
-odd p the Zech read log x + zech(e - log x).  It places a repair's
-helpers for odd p, the points x0 + w^e, and with x = -1 gives a plan's
-log(w^i - 1).
+standing for 0: for p = 2 an XOR-reduce of the antilog at x + y, with
+no test per pair; for odd p sum_powers over the x + y below 2 N.
+logs_plus gives log(x + w^e) for a list of exponents e by one table
+read each: log(x XOR w^e) for p = 2, and for odd p the Zech read
+log x + zech(e - log x).  It places a repair's helpers for odd p, the
+points x0 + w^e, and with x = -1 gives a plan's log(w^i - 1).
 
 transform is the length-N cyclic transform, sum over u of a_u w^(u j),
-N = p^(m*t) - 1, from N field elements to N.  It encodes a codeword and
-builds a plan's share.  It runs by mixed-radix decimation in time over
-the prime factors of N, taken with multiplicity, largest at the leaves,
-as an iterative loop over levels from the leaves up.  A level of radix
-p' holds all of its subproblems in one length-N list, subproblem-outer,
-so the p' columns it combines are contiguous slices.  Each column is
-laid out in output order by repeating slices of it, a copy in C.
-Column 0 becomes the accumulator; for each other column one list
-comprehension over all N outputs adds the column entry times its
-twiddle into it, and an all-zero column is skipped, so the zero tail
-of a short message costs no pass at the leaves.  For p = 2 the
-accumulator is values, and a column turns to logs, 0 a log sentinel,
-just before its pass XORs in an antilog read per term; odd p turns its
-input to logs once, adds by Zech through two tables and reads the
-output through the antilog.  The cost is about N times the sum of the
-prime factors of N, with no kernel call per output.  What depends on
-the tower alone, the schedule, is built on the first call and kept:
-the factors of N, the padded antilog, odd p's two tables, and each
-level's twiddles, whose entries point into one sequence of N ints.  A
-level whose twiddles would hold more than 4 N entries, a radix above
-about 2 sqrt(N) at the leaves, makes each column's in its pass instead.
-Later calls only run passes.  The schedule is all tuples: no call can
-change it, and the garbage collector does not walk a tuple of ints.
+from N field elements to N.  It encodes a codeword and builds a plan's
+share.  It runs by mixed-radix decimation in time over the prime factors
+of N, taken with multiplicity, largest at the leaves, as an iterative
+loop over levels from the leaves up.  A level of radix p' holds all of
+its subproblems in one length-N list, subproblem-outer, so the p'
+columns it combines are contiguous slices.  Each column is laid out in
+output order by repeating slices of it, a copy in C.  Column 0 becomes
+the accumulator; for each other column one list comprehension over all N
+outputs adds the column entry times its twiddle into it, and an all-zero
+column is skipped, so the zero tail of a short message costs no pass at
+the leaves.  For p = 2 the accumulator is values, and a column turns to
+logs, 0 a log sentinel, just before its pass XORs in an antilog read per
+term; odd p turns its input to logs once, adds by Zech through two
+tables and reads the output through the antilog.  The cost is about N
+times the sum of the prime factors of N, with no kernel call per output.
+What depends on the tower alone, the schedule, is built on the first
+call and kept: the factors of N, odd p's two tables, and each level's
+twiddles, whose entries point into one sequence of N ints; the antilog
+is the tower's.  A level whose twiddles would hold more than 4 N
+entries, a radix above about 2 sqrt(N) at the leaves, makes each
+column's in its pass instead.  Later calls only run passes.
 
 Construction is deterministic: the modulus is the monic irreducible
 polynomial of degree m*t with the smallest integer encoding, found by
@@ -299,8 +300,8 @@ class FieldTower:
     """GF(p^(m*t)) with its base subfield GF(p^m) carried along.
 
     Elements are plain ints.  All public operations (add, mul, trace,
-    ...) take and return such ints; callers never touch the polynomial
-    representation.
+    ...) take and return such ints, and refuse anything else with
+    ValueError; callers never touch the polynomial representation.
     """
 
     def __init__(self, p: int, m: int, t: int):
@@ -342,7 +343,8 @@ class FieldTower:
             c for c in range(p if self.degree > 1 else 1, order)
             if all(power(pack(c), e) != one for e in checks))
 
-        antilog = [0] * group
+        # w^e at e and at e + N, N = order - 1, then 0 from 2 N to 4 N
+        antilog = [0] * (4 * group + 1)
         log = [-1] * order
         step = times(pack(self.primitive_element))
         acc = one
@@ -353,35 +355,44 @@ class FieldTower:
             acc = step(acc)
         if acc != one:
             raise AssertionError("primitive element order mismatch")
-        self._log = log
-        self._antilog = antilog + antilog
+        antilog[group:2 * group] = antilog[:group]
+        self._log_zero = zero = 2 * group
+        self._antilog = antilog = tuple(antilog)
+        self._log = log = tuple(log)
         if p == 2:
             self._log_minus_one = 0
         else:
             # log[0] == -1 marks 1 + w^i == 0; doubled like the antilog
             # table, so a difference of two doubled logs indexes it
-            zech = [log[v - v % p + (v + 1) % p] for v in antilog]
-            self._zech = zech + zech
+            zech = [log[v - v % p + (v + 1) % p] for v in antilog[:group]]
+            zech += zech
+            self._zech = zech = tuple(zech)
             self._log_minus_one = (order - 1) // 2
         # x != 0 is in B = GF(q) exactly when its log is a multiple of this
         self._base_step = group // (self.q - 1)
         # the trace is GF(p)-linear: fill its table digit place by digit
-        # place from the values at the basis elements p^j
+        # place from b = Tr(p^j), the sum of the t conjugates of p^j
         table = [0]
         for j in range(self.degree):
-            b = self._conjugate_sum(p ** j)
+            b = self.sum_powers([log[p ** j] * self.q ** i % group for i in range(self.t)])
             if p == 2:
                 table += [v ^ b for v in table]
+            elif b == 0:
+                table *= p
             else:
-                mults = [self.mul(c, b) for c in range(p)]
-                table = [self.add(v, m) for m in mults for v in table]
-        # _trace_log[i] = log Tr(w^i), the log table's int, or one shared 2 N for 0
-        zero = 2 * group
-        self._trace_log = tuple([log[v] if (v := table[x]) else zero for x in antilog])
+                # v + c b for c = 1 .. p - 1, c b = w^lc, by one Zech read
+                lcs = [(log[c] + log[b]) % group for c in range(1, p)]
+                table += [(antilog[lc + z] if (z := zech[log[v] - lc]) >= 0 else 0)
+                          if v else antilog[lc] for lc in lcs for v in table]
+        # _trace_log[i] = log Tr(w^i), the log table's int, or 2 N for 0
+        self._trace_log = tuple([log[v] if (v := table[x]) else zero for x in antilog[:group]])
 
     # -- arithmetic --------------------------------------------------
 
+    # add and mul, the oracle's hot pair, test inline; _element only raises
     def add(self, x: int, y: int) -> int:
+        if not (type(x) is type(y) is int and 0 <= x < self.order > y >= 0):
+            self._element(x), self._element(y)   # one of them raises
         if self.p == 2:
             return x ^ y
         if x == 0:
@@ -394,7 +405,7 @@ class FieldTower:
         return 0 if z < 0 else self._antilog[lx + z]
 
     def neg(self, x: int) -> int:
-        if self.p == 2 or x == 0:
+        if self._element(x) == 0 or self.p == 2:
             return x
         return self._antilog[self._log[x] + self._log_minus_one]
 
@@ -402,12 +413,13 @@ class FieldTower:
         return self.add(x, self.neg(y))
 
     def mul(self, x: int, y: int) -> int:
-        if x == 0 or y == 0:
-            return 0
-        return self._antilog[self._log[x] + self._log[y]]
+        if type(x) is type(y) is int and 0 < x < self.order > y > 0:
+            return self._antilog[self._log[x] + self._log[y]]
+        self._element(x), self._element(y)   # raises unless one of them is 0
+        return 0
 
     def inv(self, x: int) -> int:
-        if x == 0:
+        if self._element(x) == 0:
             raise ZeroDivisionError("inverse of zero")
         return self._antilog[-self._log[x] % (self.order - 1)]
 
@@ -415,7 +427,7 @@ class FieldTower:
         return self.mul(x, self.inv(y))
 
     def pow(self, x: int, e: int) -> int:
-        if x == 0:
+        if self._element(x) == 0:
             if e < 0:
                 raise ZeroDivisionError("inverse of zero")
             return 1 if e == 0 else 0
@@ -436,7 +448,7 @@ class FieldTower:
         """Sum of w^e over exponents e in [0, 2 (order - 1))."""
         antilog = self._antilog
         if self.p == 2:
-            return reduce(xor, map(antilog.__getitem__, exps), 0)
+            return reduce(xor, [antilog[e] for e in exps], 0)
         # Zech chain on the log of the running sum, -1 while it is zero:
         # w^s + w^e = w^(s + zech[e - s])
         zech, mod = self._zech, self.order - 1
@@ -452,9 +464,9 @@ class FieldTower:
     def sum_products(self, xs, ys) -> int:
         """Sum of w^x w^y over pairs of logs, each below order - 1 or 2 (order - 1) for 0."""
         if self.p == 2:
-            antilog = (self._schedule or self._build_schedule())[1]
+            antilog = self._antilog
             return reduce(xor, [antilog[x + y] for x, y in zip(xs, ys)], 0)
-        zero = 2 * (self.order - 1)
+        zero = self._log_zero
         return self.sum_powers([s for x, y in zip(xs, ys) if (s := x + y) < zero])
 
     def transform(self, coeffs: list[int]) -> list[int]:
@@ -463,10 +475,10 @@ class FieldTower:
         coeffs holds the N field elements a_u.  The levels run from the
         leaves up on the tower's schedule (see the module docstring).
         """
-        zero, antilog, plus, norm, values, levels = self._schedule or self._build_schedule()
+        zero, plus, norm, values, levels = self._schedule or self._build_schedule()
         if len(coeffs) != self.order - 1:
             raise ValueError(f"a transform takes {self.order - 1} coefficients, got {len(coeffs)}")
-        log, p2 = self._log, self.p == 2
+        log, antilog, p2 = self._log, self._antilog, self.p == 2
         # cur holds the outputs of `parts` subproblems of length `sub`, values
         # for p = 2 and logs for odd p, subproblem-outer, at the leaves the
         # inputs.  Those numbered sigma + parts s, s < radix, make a subproblem
@@ -490,22 +502,19 @@ class FieldTower:
         return cur if p2 else [antilog[lu] for lu in cur]
 
     def _build_schedule(self) -> tuple:
-        """What transform reads besides its input; built on its first call.
+        """What transform reads besides its input and the tower's tables.
 
-        The sentinel log of 0, the antilog padded with 0 past it, odd p's
-        two Zech tables, the N twiddle values, and per level from the
-        leaves up (radix, parts, sub, twiddles), twiddles holding one
-        tuple of span = radix sub logs per column s >= 1, or None where
-        each pass makes its own: output j of a subproblem takes its
-        column entry times w^(parts s j).  They point into the one tuple
-        of values, so they cost a pointer per entry.  Every part is a
-        tuple, so no call can change it, and the garbage collector stops
-        tracking a tuple of ints: it adds nothing to a collection.
+        Built on its first call, all tuples: the passes' log of 0 (2 N
+        for p = 2, 3 N for odd p), odd p's two Zech tables, the N twiddle
+        values, and per level from the leaves up (radix, parts, sub,
+        twiddles), twiddles holding one tuple of span = radix sub logs
+        per column s >= 1, or None where each pass makes its own: output
+        j of a subproblem takes its column entry times w^(parts s j).
+        They point into the one tuple of values, a pointer per entry.
         """
         mod = self.order - 1
         # the log of 0 inside the transform, past every log and log sum
-        zero = 2 * mod if self.p == 2 else 3 * mod
-        antilog = tuple(self._antilog) + (0,) * (2 * mod + 1)   # 0 from 2 mod to 4 mod
+        zero = self._log_zero if self.p == 2 else 3 * mod
         # 0, 1, ..., mod - 1 as the log table's own ints, so no new int object
         exps = tuple([self._log[x] for x in self._antilog[:mod]])
         if self.p == 2:
@@ -533,7 +542,7 @@ class FieldTower:
                             if (f - 1) * span <= 4 * mod else None)
                 levels.append((f, parts, sub, twiddles))
                 sub = span
-        self._schedule = (zero, antilog, plus, norm, values, tuple(levels))
+        self._schedule = (zero, plus, norm, values, tuple(levels))
         return self._schedule
 
     def logs_plus(self, x: int, exps) -> list[int]:
@@ -552,17 +561,9 @@ class FieldTower:
 
     def frobenius(self, x: int) -> int:
         """x^q, the generator of Gal(F/B)."""
-        if x == 0:
+        if self._element(x) == 0:
             return 0
         return self._antilog[self._log[x] * self.q % (self.order - 1)]
-
-    def _conjugate_sum(self, x: int) -> int:
-        """Sum of the t Frobenius conjugates of x; fills the trace table."""
-        acc = conj = x
-        for _ in range(self.t - 1):
-            conj = self.frobenius(conj)
-            acc = self.add(acc, conj)
-        return acc
 
     def _element(self, x: int) -> int:
         if type(x) is not int or not 0 <= x < self.order:
@@ -571,8 +572,7 @@ class FieldTower:
 
     def trace(self, x: int) -> int:
         """Trace from F down to B, read from the table built at construction."""
-        lt = self._trace_log[self._log[x]] if self._element(x) else -1
-        return self._antilog[lt] if 0 <= lt < self.order - 1 else 0
+        return self._antilog[self._trace_log[self._log[x]]] if self._element(x) else 0
 
     def in_base_field(self, x: int) -> bool:
         return self._element(x) == 0 or self._log[x] % self._base_step == 0

@@ -61,9 +61,9 @@ class LUFactorization:
                 mu[exps[i]] = antilog[(top - deriv - to_w[i]) % mod]
                 deriv = deriv * q % mod
                 i += 1
-        s, log = ctx.transform(mu), ctx._log
+        s, log, zero = ctx.transform(mu), ctx._log, ctx._log_zero
         self._ctx = ctx
-        self._share = [log[v] if (v := s[(e - r) % mod]) else 2 * mod for e in helpers]
+        self._share = tuple([log[v] if (v := s[(e - r) % mod]) else zero for e in helpers])
 
     def solve(self, tlogs) -> int:
         """The window's share of f(x0) from the logs of the helpers' traces, in helper order."""

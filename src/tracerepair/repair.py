@@ -151,12 +151,12 @@ def combine(plan: RepairPlan, traces) -> int:
     """
     _check_shape(plan, traces)
     ctx = plan.ctx
-    order, log, step = ctx.order, ctx._log, ctx._base_step
+    order, log, step, zero = ctx.order, ctx._log, ctx._base_step, ctx._log_zero
     for e, v in zip(plan.helper_exps, traces):
         # ctx.in_base_field's log test, inline: no method call per helper
         if not (type(v) is int and 0 <= v < order and (v == 0 or log[v] % step == 0)):
             raise ValueError(f"trace from helper w^{e} is not in the base field")
-    tlogs = [log[v] if v else 2 * (order - 1) for v in traces]
+    tlogs = [log[v] if v else zero for v in traces]
     return ctx.add(recover_missing_traces(plan, tlogs), gw_finish(ctx, plan.helper_exps, tlogs))
 
 
@@ -196,7 +196,7 @@ def repair_pipeline(ctx: FieldTower, k: int, r: int, cw: Codeword,
 
     (position,) = cw.erased
     helpers = plan.helper_exps
-    values, log, tlog, zero = cw.values, ctx._log, ctx._trace_log, 2 * (ctx.order - 1)
+    values, log, tlog, zero = cw.values, ctx._log, ctx._trace_log, ctx._log_zero
     x0 = position_point(ctx, position)
     # Helper e sits at slot log(x0 + w^e) + 1, or at slot 0 where that
     # point is 0 (log[0] and logs_plus give -1 there).  x0 + w^e != x0, and

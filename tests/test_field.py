@@ -54,10 +54,10 @@ def test_construction_deterministic() -> None:
     assert a._antilog == b._antilog
 
 
-# SHA-256 of repr((modulus, primitive element, _antilog, _log, _zech)),
-# _zech None for p = 2.  Computed with the earlier construction, which
-# multiplied digit lists, so the shift-and-reduce walk must reproduce
-# its tables exactly.
+# SHA-256 of repr((modulus, primitive element, _antilog up to 2 N, _log,
+# _zech)), the tables as lists, _zech None for p = 2.  Computed with the
+# earlier construction, which multiplied digit lists, so the
+# shift-and-reduce walk must reproduce its tables exactly.
 TABLE_DIGESTS = {
     (2, 1, 1): "a370499fc1a922e9ff7c7001703de4285b4866037e2333b5a4636adc5ae3dd6d",
     (2, 1, 2): "3a04a3e517b98e8ec20de6a428256739e5e44e3d939004ded47b04b1eb953936",
@@ -91,9 +91,13 @@ def test_tables_match_golden_digests(tower) -> None:
     """x primitive (GF(64), g = 2) or not (GF(256), g = 3), degree 1 to 10,
     p from 2 to 101, and GF(2^16)."""
     ctx = construct_field(*tower)
-    tables = (ctx.modulus, ctx.primitive_element, ctx._antilog, ctx._log,
-              getattr(ctx, "_zech", None))
+    mod = ctx.order - 1
+    # the antilog's zero tail past the doubled powers is pinned on its own
+    zech = getattr(ctx, "_zech", None)
+    tables = (ctx.modulus, ctx.primitive_element, list(ctx._antilog[:2 * mod]),
+              list(ctx._log), None if zech is None else list(zech))
     assert hashlib.sha256(repr(tables).encode()).hexdigest() == TABLE_DIGESTS[tower]
+    assert ctx._antilog[2 * mod:] == (0,) * (2 * mod + 1)
 
 
 def _schoolbook_mul(x: int, y: int, modulus, p: int) -> int:
@@ -178,6 +182,26 @@ def test_log_refuses_non_elements(gf9) -> None:
             gf9.log(x)
     with pytest.raises(ValueError, match="log of zero"):
         gf9.log(0)
+
+
+def test_arithmetic_refuses_non_elements(gf9, gf16_over_gf4) -> None:
+    # a negative int, a bool, the order itself, a float or a string is no
+    # element, in either operand; 0 stays an element and keeps its own error
+    for ctx in (gf9, gf16_over_gf4):
+        for bad in (-1, True, ctx.order, 1.0, "1"):
+            calls = [(ctx.neg, bad), (ctx.inv, bad), (ctx.frobenius, bad), (ctx.pow, bad, 2)]
+            for op in (ctx.add, ctx.sub, ctx.mul, ctx.div):
+                calls += [(op, bad, 1), (op, 1, bad), (op, 0, bad)]
+            calls += [(op, bad, 0) for op in (ctx.add, ctx.sub, ctx.mul)]
+            for op, *args in calls:
+                with pytest.raises(ValueError, match="not an element"):
+                    op(*args)
+        with pytest.raises(ZeroDivisionError):
+            ctx.inv(0)
+        with pytest.raises(ZeroDivisionError):
+            ctx.div(1, 0)
+        with pytest.raises(ZeroDivisionError):
+            ctx.pow(0, -1)
 
 
 def test_primitive_element_order(gf9, gf16_over_gf4, gf25) -> None:
@@ -390,3 +414,25 @@ def test_package_modules_use_every_name_they_import() -> None:
                     for alias in node.names}
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert imported <= used, (path.name, sorted(imported - used))
+
+
+def test_package_defines_no_private_name_it_never_uses() -> None:
+    # a private function, class, method or module constant that nothing in
+    # src/ reads is dead code; the public surface is pinned in test_public_api
+    src = Path(tracerepair.__file__).resolve().parent
+    trees = [ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))]
+    defined = []
+    for tree in trees:
+        for node in tree.body:
+            body = node.body if isinstance(node, ast.ClassDef) else []
+            for item in [node, *body]:
+                if isinstance(item, (ast.FunctionDef, ast.ClassDef)):
+                    defined.append(item.name)
+                elif isinstance(item, ast.Assign) and item is node:
+                    defined += [t.id for t in item.targets if isinstance(t, ast.Name)]
+    private = [name for name in defined if name.startswith("_") and not name.startswith("__")]
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+    assert len(private) >= 20, private
+    assert [name for name in private if name not in read] == []

@@ -1,4 +1,5 @@
-"""Property tests: the sum_powers kernel and the window's share against scalar arithmetic."""
+"""Property tests: the sum_powers and sum_products kernels and the window's share
+against scalar arithmetic."""
 
 from __future__ import annotations
 
@@ -45,6 +46,36 @@ def _exponents(draw):
 def test_sum_powers_matches_scalar_add(case) -> None:
     ctx, exps = case
     assert ctx.sum_powers(exps) == reduce(ctx.add, map(ctx.exp, exps), 0)
+
+
+@st.composite
+def _log_pairs(draw):
+    """Pairs of logs below N or 2 N for 0: 2 N on either side and on both,
+    and for odd p pairs whose products cancel."""
+    ctx = _field(draw(st.sampled_from(KERNEL_TOWERS)))
+    mod, zero = ctx.order - 1, 2 * (ctx.order - 1)
+    log = st.one_of(st.just(zero), st.integers(0, mod - 1))
+    pairs = draw(st.lists(st.tuples(log, log), max_size=12))
+    pairs += draw(st.lists(st.sampled_from([(zero, 0), (0, zero), (zero, zero)]), max_size=3))
+    if ctx.p != 2:
+        # w^x w^y + w^x w^(y + N/2) = 0
+        for x, y in draw(st.lists(st.tuples(st.integers(0, mod - 1), st.integers(0, mod - 1)),
+                                  max_size=3)):
+            pairs += [(x, y), (x, (y + mod // 2) % mod)]
+    pairs = draw(st.permutations(pairs))
+    return ctx, [x for x, _ in pairs], [y for _, y in pairs]
+
+
+@given(_log_pairs())
+def test_sum_products_matches_scalar_add_and_mul(case) -> None:
+    ctx, xs, ys = case
+    zero = 2 * (ctx.order - 1)
+
+    def value(lg):
+        return 0 if lg == zero else ctx.exp(lg)
+
+    want = reduce(ctx.add, [ctx.mul(value(x), value(y)) for x, y in zip(xs, ys)], 0)
+    assert ctx.sum_products(xs, ys) == want
 
 
 @st.composite

@@ -427,11 +427,14 @@ def test_transform_schedule_is_built_once(tower, monkeypatch) -> None:
     assert repair_at(ctx, again.k, 0, erase(cw, 5), 5, again)[0] == cw.values[5]
 
 
-# both keep the padded antilog and the twiddles; odd p keeps its two
-# Zech tables too, hence the higher bound
-@pytest.mark.parametrize("tower,bound", [((3, 1, 7), 2.05), ((2, 6, 2), 0.75)])
-def test_transform_schedule_footprint(tower, bound) -> None:
-    """The schedule's memory over the tower's own tables, by tracemalloc."""
+# the schedule keeps the twiddles, and odd p its two Zech tables too,
+# hence the higher ratio; the padded antilog is the tower's, so the total
+# is bounded as well, and moving a table out of the schedule saves nothing
+@pytest.mark.parametrize("tower,ratio,total_mib", [((3, 1, 7), 1.49, 0.62),
+                                                    ((2, 6, 2), 0.34, 0.59)])
+def test_transform_schedule_footprint(tower, ratio, total_mib) -> None:
+    """The schedule's memory over the tower's own tables, and the two
+    together, by tracemalloc."""
     gc.collect()
     tracemalloc.start()
     try:
@@ -443,7 +446,49 @@ def test_transform_schedule_footprint(tower, bound) -> None:
     finally:
         tracemalloc.stop()
     tower_bytes, schedule_bytes = built - start, scheduled - built
-    assert schedule_bytes <= bound * tower_bytes, schedule_bytes / tower_bytes
+    assert schedule_bytes <= ratio * tower_bytes, schedule_bytes / tower_bytes
+    assert scheduled - start <= total_mib * 2 ** 20, (scheduled - start) / 2 ** 20
+
+
+def _tuples(part, depth=1):
+    """(tuple, nesting depth) for part and every tuple inside it; anything
+    else inside must be an int or None."""
+    assert type(part) is tuple, type(part)
+    yield part, depth
+    for entry in part:
+        if type(entry) is tuple:
+            yield from _tuples(entry, depth + 1)
+        else:
+            assert entry is None or type(entry) is int, type(entry)
+
+
+# p = 2 with and without kept leaf twiddles, and odd p
+@pytest.mark.parametrize("tower", [(2, 3, 2), (2, 1, 5), (3, 1, 3)])
+def test_tower_tables_are_immutable_and_untracked(tower) -> None:
+    """Every table of the tower, the schedule and a plan's share is a tuple
+    of ints, or of such tuples, so no call can change one, and the garbage
+    collector stops walking it; sum_products builds no schedule.
+
+    A collection untracks a tuple only once its entries are untracked, so
+    each collection peels one level off the schedule's nesting."""
+    ctx = construct_field(*tower)
+    ctx.sum_products([0, 2 * (ctx.order - 1)], [1, 0])
+    assert ctx._schedule is None
+    plan = _plan(ctx)
+    tables = [ctx._antilog, ctx._log, ctx._trace_log, plan._share._share]
+    if ctx.p != 2:
+        tables.append(ctx._zech)
+    nested = list(_tuples(ctx._schedule))
+    flat = [part for part, _ in nested if tuple not in map(type, part)]
+    gc.collect()
+    for table in tables + [part for part, _ in nested]:
+        with pytest.raises(TypeError):
+            table[0] = table[0]
+    for table in tables + flat:
+        assert type(table) is tuple and not gc.is_tracked(table)
+    for _ in range(max(depth for _, depth in nested)):
+        gc.collect()
+    assert not any(gc.is_tracked(part) for part, _ in nested)
 
 
 # p = 2 with the leaves' twiddles kept; N = 31 and 26 = 2 13, whose
