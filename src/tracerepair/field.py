@@ -19,8 +19,8 @@ digit-wise modulo p on the encoding.  For p = 2 that is XOR.  For odd p
 it is computed as x + y = x * (1 + y/x) with Zech logarithms,
 zech[i] = log(1 + w^i) (-1 where 1 + w^i = 0), built in one pass over
 the antilog table because adding 1 changes only the lowest base-p digit;
-negation multiplies by -1 = w^((p^(m*t) - 1)/2).  The integer encoding
-is the same for every p, so results match digit-wise arithmetic exactly.
+negation adds log(-1), the log of the integer p - 1 (0 for p = 2).  The
+encoding is the same for every p, so results match digit-wise arithmetic.
 
 The trace to B is a table of logs indexed by log, log Tr(w^i) at i and
 2 N where the trace is 0, so a repair's download goes from a log to a
@@ -33,18 +33,18 @@ to it by Zech reads for odd p), about p^(m*t) table reads in all, and
 its logs are then read out in log order.  B-membership is a log test:
 x != 0 lies in B exactly when log x is a multiple of N/(q - 1).
 
-The vector kernels work on discrete logs straight from the tables, with
-no method call per element.  sum_powers sums powers of w: an XOR-reduce
-for p = 2, a Zech chain on the log of the running sum for odd p.
-sum_products, a repair's two sums, sums w^x w^y over pairs of logs, 2 N
-standing for 0: for p = 2 an XOR-reduce of the antilog at x + y, with
-no test per pair; for odd p sum_powers over the x + y below 2 N.
-logs_plus gives log(x + w^e) for a list of exponents e by one table
-read each: log(x XOR w^e) for p = 2, and for odd p the Zech read
-log x + zech(e - log x).  It places a repair's helpers for odd p, the
-points x0 + w^e, and with x = -1 gives a plan's log(w^i - 1).
+The package's other modules also call three private kernels, which
+check nothing and read logs from the tables with no call per element.
+_sum_products, a repair's two sums and the trace fill's, sums w^x w^y
+over pairs of logs, 2 N standing for 0: for p = 2 an XOR-reduce of the
+antilog at x + y, with no test per pair; for odd p a Zech chain on the
+log of the running sum that skips each x + y of 2 N or more.  _logs_plus
+gives log(x + w^e) for a list of exponents e by one table read each:
+log(x XOR w^e) for p = 2, and log x + zech(e - log x) for odd p.  It
+places a repair's helpers for odd p, the points x0 + w^e, and with
+x = -1 gives a plan's log(w^i - 1).
 
-transform is the length-N cyclic transform, sum over u of a_u w^(u j),
+_transform is the length-N cyclic transform, sum over u of a_u w^(u j),
 from N field elements to N.  It encodes a codeword and builds a plan's
 share.  It runs by mixed-radix decimation in time over the prime factors
 of N, taken with multiplicity, largest at the leaves, as an iterative
@@ -238,8 +238,6 @@ def _arithmetic(p: int, modulus: tuple[int, ...]):
     modulus, read from a table over its p values.
     """
     degree = len(modulus) - 1
-    if degree == 1:
-        return int, lambda b: lambda a: a * b % p, int
     if p == 2:
         # the working form is the encoding, bit i the digit of x^i
         top = degree - 1
@@ -299,9 +297,9 @@ def _arithmetic(p: int, modulus: tuple[int, ...]):
 class FieldTower:
     """GF(p^(m*t)) with its base subfield GF(p^m) carried along.
 
-    Elements are plain ints.  All public operations (add, mul, trace,
-    ...) take and return such ints, and refuse anything else with
-    ValueError; callers never touch the polynomial representation.
+    Elements are plain ints.  The twelve public methods, the arithmetic,
+    take and return such ints and refuse anything else, exponents too,
+    with ValueError; callers never touch the polynomial representation.
     """
 
     def __init__(self, p: int, m: int, t: int):
@@ -359,22 +357,20 @@ class FieldTower:
         self._log_zero = zero = 2 * group
         self._antilog = antilog = tuple(antilog)
         self._log = log = tuple(log)
-        if p == 2:
-            self._log_minus_one = 0
-        else:
+        if p != 2:
             # log[0] == -1 marks 1 + w^i == 0; doubled like the antilog
             # table, so a difference of two doubled logs indexes it
             zech = [log[v - v % p + (v + 1) % p] for v in antilog[:group]]
             zech += zech
             self._zech = zech = tuple(zech)
-            self._log_minus_one = (order - 1) // 2
         # x != 0 is in B = GF(q) exactly when its log is a multiple of this
         self._base_step = group // (self.q - 1)
         # the trace is GF(p)-linear: fill its table digit place by digit
         # place from b = Tr(p^j), the sum of the t conjugates of p^j
         table = [0]
         for j in range(self.degree):
-            b = self.sum_powers([log[p ** j] * self.q ** i % group for i in range(self.t)])
+            b = self._sum_products([log[p ** j] * self.q ** i % group for i in range(self.t)],
+                                   [0] * self.t)
             if p == 2:
                 table += [v ^ b for v in table]
             elif b == 0:
@@ -405,9 +401,9 @@ class FieldTower:
         return 0 if z < 0 else self._antilog[lx + z]
 
     def neg(self, x: int) -> int:
-        if self._element(x) == 0 or self.p == 2:
-            return x
-        return self._antilog[self._log[x] + self._log_minus_one]
+        if self._element(x) == 0:
+            return 0
+        return self._antilog[self._log[x] + self._log[self.p - 1]]
 
     def sub(self, x: int, y: int) -> int:
         return self.add(x, self.neg(y))
@@ -427,6 +423,8 @@ class FieldTower:
         return self.mul(x, self.inv(y))
 
     def pow(self, x: int, e: int) -> int:
+        if type(e) is not int:
+            raise ValueError(f"exponent must be an integer, got {e!r}")
         if self._element(x) == 0:
             if e < 0:
                 raise ZeroDivisionError("inverse of zero")
@@ -435,6 +433,8 @@ class FieldTower:
 
     def exp(self, e: int) -> int:
         """Power of the primitive element, exponent taken mod q^t - 1."""
+        if type(e) is not int:
+            raise ValueError(f"exponent must be an integer, got {e!r}")
         return self._antilog[e % (self.order - 1)]
 
     def log(self, x: int) -> int:
@@ -442,18 +442,21 @@ class FieldTower:
             raise ValueError("log of zero")
         return self._log[x]
 
-    # -- vector kernel (see the module docstring) --------------------
+    # -- private kernels (see the module docstring) -------------------
 
-    def sum_powers(self, exps) -> int:
-        """Sum of w^e over exponents e in [0, 2 (order - 1))."""
+    def _sum_products(self, xs, ys) -> int:
+        """Sum of w^(x + y) over pairs of logs; a pair that sums to 2 (order - 1)
+        or more, 2 (order - 1) standing for 0 on either side, adds nothing."""
         antilog = self._antilog
         if self.p == 2:
-            return reduce(xor, [antilog[e] for e in exps], 0)
+            return reduce(xor, [antilog[x + y] for x, y in zip(xs, ys)], 0)
         # Zech chain on the log of the running sum, -1 while it is zero:
         # w^s + w^e = w^(s + zech[e - s])
-        zech, mod = self._zech, self.order - 1
+        zech, mod, zero = self._zech, self.order - 1, self._log_zero
         acc = -1
-        for e in exps:
+        for x, y in zip(xs, ys):
+            if (e := x + y) >= zero:
+                continue
             if acc < 0:
                 acc = e
             else:
@@ -461,15 +464,7 @@ class FieldTower:
                 acc = -1 if z < 0 else (acc + z) % mod
         return 0 if acc < 0 else antilog[acc]
 
-    def sum_products(self, xs, ys) -> int:
-        """Sum of w^x w^y over pairs of logs, each below order - 1 or 2 (order - 1) for 0."""
-        if self.p == 2:
-            antilog = self._antilog
-            return reduce(xor, [antilog[x + y] for x, y in zip(xs, ys)], 0)
-        zero = self._log_zero
-        return self.sum_powers([s for x, y in zip(xs, ys) if (s := x + y) < zero])
-
-    def transform(self, coeffs: list[int]) -> list[int]:
+    def _transform(self, coeffs: list[int]) -> list[int]:
         """sum over u < N of a_u w^(u j) for each j < N = order - 1.
 
         coeffs holds the N field elements a_u.  The levels run from the
@@ -502,7 +497,7 @@ class FieldTower:
         return cur if p2 else [antilog[lu] for lu in cur]
 
     def _build_schedule(self) -> tuple:
-        """What transform reads besides its input and the tower's tables.
+        """What _transform reads besides its input and the tower's tables.
 
         Built on its first call, all tuples: the passes' log of 0 (2 N
         for p = 2, 3 N for odd p), odd p's two Zech tables, the N twiddle
@@ -545,7 +540,7 @@ class FieldTower:
         self._schedule = (zero, plus, norm, values, tuple(levels))
         return self._schedule
 
-    def logs_plus(self, x: int, exps) -> list[int]:
+    def _logs_plus(self, x: int, exps) -> list[int]:
         """log(x + w^e) for each exponent e in [0, order - 1); -1 where x + w^e = 0."""
         log = self._log
         if self.p == 2:

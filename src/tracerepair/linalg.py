@@ -6,7 +6,7 @@ one sum over the helpers with coefficients fixed by the plan.
 build_plan builds them here, in closed form and in discrete logs, from
 the cosets and helpers it derives from the tower, k and r alone, and
 recover_missing_traces applies them once per repair through the
-field's sum_products kernel.  The scalar elimination that checks them
+field's private _sum_products kernel.  The scalar elimination that checks them
 lives in the oracle, which shares no kernel with the repair path.
 """
 
@@ -45,7 +45,7 @@ class LUFactorization:
     def __init__(self, ctx, cosets, r, helpers):
         mod, q, antilog = ctx.order - 1, ctx.q, ctx._antilog
         exps = [a for coset in cosets for a in coset.elements]
-        minus_one = ctx.logs_plus(ctx.neg(1), range(mod))   # log(w^i - 1)
+        minus_one = ctx._logs_plus(ctx.neg(1), range(mod))   # log(w^i - 1)
         twice = minus_one + minus_one   # twice[a + N - b] = L[a - b], a and b in [0, N)
         negs = [mod - b for b in exps]
         to_w = [a + minus_one[(1 - a) % mod] for a in exps]   # log(w - w^a)
@@ -61,10 +61,10 @@ class LUFactorization:
                 mu[exps[i]] = antilog[(top - deriv - to_w[i]) % mod]
                 deriv = deriv * q % mod
                 i += 1
-        s, log, zero = ctx.transform(mu), ctx._log, ctx._log_zero
+        s, log, zero = ctx._transform(mu), ctx._log, ctx._log_zero
         self._ctx = ctx
         self._share = tuple([log[v] if (v := s[(e - r) % mod]) else zero for e in helpers])
 
     def solve(self, tlogs) -> int:
         """The window's share of f(x0) from the logs of the helpers' traces, in helper order."""
-        return self._ctx.sum_products(self._share, tlogs)
+        return self._ctx._sum_products(self._share, tlogs)

@@ -25,7 +25,7 @@ recover_missing_traces returns the sum of s_((e - r) mod N) tau_e;
 gw_finish returns minus the sum of omega^e tau_e over the same helpers,
 and a repair adds the two.  With d = 0 the window is empty and its
 share is 0.  Both sums take the traces as logs, 2 N for a zero trace,
-and run as the field's sum_products.  combine, which takes traces from
+and run as the field's private _sum_products.  combine, which takes traces from
 a caller, first refuses any outside B, which no helper sends, then
 takes their logs once; the pipeline's own download is logs already.
 
@@ -138,7 +138,7 @@ def gw_finish(ctx: FieldTower, exps, tlogs) -> int:
     the sums gives f(x0) = -sum over every e < n - 1 of omega^e * tau_e;
     this is that sum's part over the exponents given.
     """
-    return ctx.neg(ctx.sum_products(exps, tlogs))
+    return ctx.neg(ctx._sum_products(exps, tlogs))
 
 
 def combine(plan: RepairPlan, traces) -> int:
@@ -174,7 +174,7 @@ def repair_pipeline(ctx: FieldTower, k: int, r: int, cw: Codeword,
     With x0 the erased point, the helper at exponent e is read in place
     at x0 + omega^e and ships tau_e = trace(f(x0 + omega^e) / omega^e),
     by table reads only: the slot, from the log table for p = 2 and the
-    field's logs_plus for odd p, then log tau_e, the trace-log table's
+    field's _logs_plus for odd p, then log tau_e, the trace-log table's
     entry at log v - e for the value v there, 2 (n - 1) for v = 0.  The
     window's share of the helpers' traces plus the finish is
     f(x0) = -sum over e of omega^e * tau_e.
@@ -199,7 +199,7 @@ def repair_pipeline(ctx: FieldTower, k: int, r: int, cw: Codeword,
     values, log, tlog, zero = cw.values, ctx._log, ctx._trace_log, ctx._log_zero
     x0 = position_point(ctx, position)
     # Helper e sits at slot log(x0 + w^e) + 1, or at slot 0 where that
-    # point is 0 (log[0] and logs_plus give -1 there).  x0 + w^e != x0, and
+    # point is 0 (log[0] and _logs_plus give -1 there).  x0 + w^e != x0, and
     # cw has exactly one erasure, at x0, so no read below touches an erased
     # slot.  log v - e lies in (-N, N), and a negative index wraps mod N.
     if ctx.p == 2:
@@ -208,7 +208,7 @@ def repair_pipeline(ctx: FieldTower, k: int, r: int, cw: Codeword,
                  for e in helpers]
     else:
         tlogs = [tlog[log[v] - e] if (v := values[ls + 1]) else zero
-                 for e, ls in zip(helpers, ctx.logs_plus(x0, helpers))]
+                 for e, ls in zip(helpers, ctx._logs_plus(x0, helpers))]
     # combine without its B test and its logs: every entry is a trace-log table's
     value = ctx.add(recover_missing_traces(plan, tlogs), gw_finish(ctx, helpers, tlogs))
     nsym = len(helpers)

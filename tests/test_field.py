@@ -196,6 +196,11 @@ def test_arithmetic_refuses_non_elements(gf9, gf16_over_gf4) -> None:
             for op, *args in calls:
                 with pytest.raises(ValueError, match="not an element"):
                     op(*args)
+        # an exponent is an int and not a bool, also where the base is 0
+        for bad in (1.5, "1", True, None):
+            for op, *args in ((ctx.exp, bad), (ctx.pow, 1, bad), (ctx.pow, 0, bad)):
+                with pytest.raises(ValueError, match="exponent must be an integer"):
+                    op(*args)
         with pytest.raises(ZeroDivisionError):
             ctx.inv(0)
         with pytest.raises(ZeroDivisionError):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 
 import tracerepair
+from tracerepair import FieldTower
 
 PUBLIC = [
     "BandwidthReport", "BandwidthRow", "Codeword", "Coset", "CosetCollection",
@@ -15,12 +16,26 @@ PUBLIC = [
     "rank_over_base", "repair_at", "repair_pipeline",
 ]
 
+# FieldTower's public callables: its checked arithmetic, nothing unchecked
+TOWER_METHODS = [
+    "add", "div", "exp", "frobenius", "in_base_field", "inv", "log", "mul",
+    "neg", "pow", "sub", "trace",
+]
+
 
 def test_all_is_the_sorted_public_surface() -> None:
     assert len(PUBLIC) == 26 and PUBLIC == sorted(PUBLIC)
     assert tracerepair.__all__ == PUBLIC
     for name in PUBLIC:
         assert getattr(tracerepair, name) is not None, name
+
+
+def test_tower_methods_are_its_checked_arithmetic() -> None:
+    """An unchecked kernel that turned public would show up here."""
+    assert len(TOWER_METHODS) == 12 and TOWER_METHODS == sorted(TOWER_METHODS)
+    public = sorted(name for name in dir(FieldTower)
+                    if not name.startswith("_") and callable(getattr(FieldTower, name)))
+    assert public == TOWER_METHODS
 
 
 def test_coset_records_take_only_what_they_derive_from() -> None:

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from tracerepair import linalg, repair
 from tracerepair.cosets import enumerate_cosets, filter_cosets
-from tracerepair.field import construct_field
+from tracerepair.field import construct_field, is_prime
 from tracerepair.oracle import (VERIFICATION_FIELDS, conjugate_trace, rank,
                                 rank_over_base, reference_traces, trace_matrix,
                                 trace_poly, vander_blocks, verify_factorization,
@@ -373,18 +373,21 @@ def test_one_factorization_per_plan_one_solve_per_repair(gf64_over_gf8,
 @pytest.mark.parametrize("p,m,t,k", [(2, 3, 2, 10), (2, 1, 4, 1), (2, 1, 6, 1),
                                      (7, 1, 3, 147), (3, 1, 2, 2)])
 def test_repair_is_one_solve_and_two_sums(p, m, t, k, monkeypatch) -> None:
-    """A repair solves once.  For p = 2 both sums are XOR-reduces on logs,
-    with no sum_powers or logs_plus call; for odd p, logs_plus places the
-    helpers and sum_powers gets two calls of at most n - 1 - d terms."""
+    """A repair solves once, then makes two _sum_products calls, each of
+    n - 1 - d pairs with at most that many live terms (a pair summing below
+    2 N); for odd p, _logs_plus first places the helpers, and for p = 2 no
+    call does."""
     ctx = construct_field(p, m, t)
     plan = _plan(ctx, k, 5)
     calls = []
-    real_sum, real_logs_plus = ctx.sum_powers, ctx.logs_plus
+    real_sum, real_logs_plus = ctx._sum_products, ctx._logs_plus
     real_solve = linalg.LUFactorization.solve
+    helpers, zero = ctx.order - 1 - plan.dim, 2 * (ctx.order - 1)
 
-    def sum_powers(exps):
-        calls.append(len(exps))
-        return real_sum(exps)
+    def sum_products(xs, ys):
+        assert len(xs) == len(ys) == helpers
+        calls.append(sum(x + y < zero for x, y in zip(xs, ys)))
+        return real_sum(xs, ys)
 
     def logs_plus(x, exps):
         calls.append("logs_plus")
@@ -394,20 +397,18 @@ def test_repair_is_one_solve_and_two_sums(p, m, t, k, monkeypatch) -> None:
         calls.append("solve")
         return real_solve(self, traces)
 
-    # encoding sums powers too, so it runs before the patch
+    # encoding and planning run before the patch
     cw = encode(ctx, tuple(range(1, k + 1)))
-    monkeypatch.setattr(ctx, "sum_powers", sum_powers)
-    monkeypatch.setattr(ctx, "logs_plus", logs_plus)
+    monkeypatch.setattr(ctx, "_sum_products", sum_products)
+    monkeypatch.setattr(ctx, "_logs_plus", logs_plus)
     monkeypatch.setattr(linalg.LUFactorization, "solve", solve)
     for position in (0, 7):
         calls.clear()
         got, _ = repair_at(ctx, k, 5, erase(cw, position), position, plan)
         assert got == cw.values[position]
-        if p == 2:
-            assert calls == ["solve"]
-        else:
-            assert calls[:2] == ["logs_plus", "solve"] and len(calls) == 4
-            assert all(0 < size <= ctx.order - 1 - plan.dim for size in calls[2:])
+        head = ["solve"] if p == 2 else ["logs_plus", "solve"]
+        assert calls[:len(head)] == head and len(calls) == len(head) + 2
+        assert all(0 < live <= helpers for live in calls[len(head):])
 
 
 @pytest.mark.parametrize("p,m,t,k", [(2, 1, 4, 2), (2, 1, 4, 4), (2, 3, 2, 10)])
@@ -849,6 +850,41 @@ def test_bandwidth_table_gf9(gf9) -> None:
     ]
     # the coset collection stands in for the tower
     assert bandwidth_table(enumerate_cosets(3, 2), 6) == rows
+
+
+# every tower of order 3 to 2^12 but the prime fields above GF(61); the
+# cosets need an order of at least 3
+BANDWIDTH_TOWERS = tuple((p, m, t) for p in range(2, 64) if is_prime(p)
+                         for m in range(1, 13) for t in range(1, 13)
+                         if 3 <= p ** (m * t) <= 1 << 12)
+
+
+@cache
+def _bandwidth_tower(tower):
+    return construct_field(*tower)
+
+
+@settings(max_examples=40)
+@given(data=st.data())
+def test_bandwidth_table_property(data) -> None:
+    """From the tower or its coset collection, row k is (k, k t, n - 1,
+    n - 1 - d(k)); ours never falls as k grows and never exceeds classical
+    or gw, the paper's n - 1 - d <= k t.  d(k) is filter_cosets's at 1,
+    k_max and a few drawn k: at every k it would be quadratic in n."""
+    ctx = _bandwidth_tower(data.draw(st.sampled_from(BANDWIDTH_TOWERS)))
+    cc = enumerate_cosets(ctx.q, ctx.t)
+    top = gw_max_k(ctx)
+    k_max = data.draw(st.one_of(st.just(top), st.integers(1, top)))
+    rows = bandwidth_table(cc, k_max)
+    assert bandwidth_table(ctx, k_max) == rows
+    n = ctx.order
+    assert [(r.k, r.classical, r.gw) for r in rows] == [
+        (k, k * ctx.t, n - 1) for k in range(1, k_max + 1)]
+    for k in {1, k_max, *data.draw(st.lists(st.integers(1, k_max), max_size=4))}:
+        assert rows[k - 1].ours == n - 1 - filter_cosets(cc, k).dim, k
+    for before, row in zip(rows, rows[1:]):
+        assert before.ours <= row.ours
+    assert all(row.ours <= min(row.classical, row.gw) for row in rows)
 
 
 def test_bandwidth_table_validates(gf9) -> None:

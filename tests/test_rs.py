@@ -236,11 +236,12 @@ def _per_point(ctx, coeffs) -> tuple[int, ...]:
     """Codeword by the per-point formula encode used before the transform.
 
     With c_i = omega^(l_i), f(omega^j) = sum over nonzero c_i of
-    omega^(i j + l_i), one sum_powers call per point; i = N wraps to 0.
+    omega^(i j + l_i), one _sum_products call per point; i = N wraps to 0.
     """
     mod = ctx.order - 1
     terms = [(i, ctx.log(c)) for i, c in enumerate(coeffs) if c]
-    return (coeffs[0],) + tuple(ctx.sum_powers([i * j % mod + lc for i, lc in terms])
+    return (coeffs[0],) + tuple(ctx._sum_products([i * j % mod + lc for i, lc in terms],
+                                                  [0] * len(terms))
                                 for j in range(mod))
 
 
@@ -295,7 +296,7 @@ def test_encode_work_follows_the_prime_factors(monkeypatch) -> None:
     N k, about 507k at k = 496.  Column 0 of each level has no twiddle and
     is a gather; every other column that is not all zero is one twiddled
     pass, a call of the field module's pass function, which the test
-    counts, and sum_powers is not called at all.  The leaves have radix 31
+    counts, and _sum_products is not called at all.  The leaves have radix 31
     and their columns are runs of 33 consecutive coefficients, so a
     k = 496 message skips 15 of them.  A message of k <= 3 coefficients
     fills only column 0 at the leaves and one level up, and k columns at
@@ -311,13 +312,13 @@ def test_encode_work_follows_the_prime_factors(monkeypatch) -> None:
             return real(*args)
         return twiddled_pass
 
-    def no_sum(exps):
-        raise AssertionError("the transform called sum_powers")
+    def no_sum(xs, ys):
+        raise AssertionError("the transform called _sum_products")
 
     def twiddled_passes(coeffs) -> int:
         passes.clear()
         with monkeypatch.context() as patch:
-            patch.setattr(ctx, "sum_powers", no_sum)
+            patch.setattr(ctx, "_sum_products", no_sum)
             for name in ("_xor_pass", "_zech_pass"):
                 patch.setattr(field, name, counted(getattr(field, name)))
             values = encode(ctx, coeffs).values
@@ -351,7 +352,7 @@ def test_transform_edge_cases_match_the_per_point_formula(p, m, t) -> None:
     ctx = construct_field(p, m, t)
     for logs in _log_vectors(ctx, random.Random(p * 100 + m * 10 + t)):
         coeffs = tuple(ctx.exp(lu) if lu >= 0 else 0 for lu in logs)
-        assert ctx.transform(coeffs) == list(_per_point(ctx, coeffs)[1:]), logs
+        assert ctx._transform(coeffs) == list(_per_point(ctx, coeffs)[1:]), logs
 
 
 @pytest.mark.parametrize("p,m,t", [(2, 5, 2), (2, 6, 2)])
@@ -359,14 +360,14 @@ def test_transform_dense_input_matches_the_per_point_formula(p, m, t) -> None:
     ctx = construct_field(p, m, t)
     rng = random.Random(17)
     coeffs = tuple(rng.randrange(ctx.order) for _ in range(ctx.order - 1))
-    assert ctx.transform(coeffs) == list(_per_point(ctx, coeffs)[1:])
+    assert ctx._transform(coeffs) == list(_per_point(ctx, coeffs)[1:])
 
 
 def test_transform_refuses_a_wrong_length(gf9) -> None:
     for coeffs in ([0] * 3, [1] * 7, [1] * 9, []):
         with pytest.raises(ValueError, match="takes 8 coefficients"):
-            gf9.transform(coeffs)
-    assert gf9.transform([0] * 8) == [0] * 8
+            gf9._transform(coeffs)
+    assert gf9._transform([0] * 8) == [0] * 8
 
 
 # SHA-256 over encode's values of one seeded message at each k in
@@ -467,12 +468,12 @@ def _tuples(part, depth=1):
 def test_tower_tables_are_immutable_and_untracked(tower) -> None:
     """Every table of the tower, the schedule and a plan's share is a tuple
     of ints, or of such tuples, so no call can change one, and the garbage
-    collector stops walking it; sum_products builds no schedule.
+    collector stops walking it; _sum_products builds no schedule.
 
     A collection untracks a tuple only once its entries are untracked, so
     each collection peels one level off the schedule's nesting."""
     ctx = construct_field(*tower)
-    ctx.sum_products([0, 2 * (ctx.order - 1)], [1, 0])
+    ctx._sum_products([0, 2 * (ctx.order - 1)], [1, 0])
     assert ctx._schedule is None
     plan = _plan(ctx)
     tables = [ctx._antilog, ctx._log, ctx._trace_log, plan._share._share]
@@ -516,7 +517,7 @@ def test_transform_calls_leave_the_schedule_unchanged(tower) -> None:
 
     def check_transform(logs):
         coeffs = tuple(ctx.exp(lu) if lu >= 0 else 0 for lu in logs)
-        assert ctx.transform(coeffs) == list(_per_point(ctx, coeffs)[1:])
+        assert ctx._transform(coeffs) == list(_per_point(ctx, coeffs)[1:])
 
     check_encode()
     snapshot = copy.deepcopy(ctx._schedule)
